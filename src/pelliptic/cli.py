@@ -90,9 +90,17 @@ def parse_input_document(doc: dict) -> TensorField:
     if doc.get("schema") != SCHEMA_VERSION:
         raise InputError(f"unsupported schema: {doc.get('schema')!r}")
     try:
-        n, m = int(doc["n"]), int(doc["m"])
+        return _parse_document(doc)
+    except InputError:
+        raise
     except KeyError as exc:
         raise InputError(f"missing field: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed document: {exc}") from exc
+
+
+def _parse_document(doc: dict) -> TensorField:
+    n, m = int(doc["n"]), int(doc["m"])
     if "grid" not in doc:
         entries = _entries_from_json(doc["entries"])
         if entries.shape != (n, n, m, m):
@@ -115,7 +123,7 @@ def parse_input_document(doc: dict) -> TensorField:
     return TensorField(stacked, grid, periodic=bool(doc.get("periodic", False)))
 
 
-def _read_input(path: str) -> TensorField:
+def _read_json(path: str):
     if path == "-":
         text = sys.stdin.read()
         name = "<stdin>"
@@ -127,12 +135,15 @@ def _read_input(path: str) -> TensorField:
             raise InputError(f"cannot read {path}: {exc}") from exc
         name = path
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{name}: JSON parse failure at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_input_document(doc)
+
+
+def _read_input(path: str) -> TensorField:
+    return parse_input_document(_read_json(path))
 
 
 def _json_default(obj):
@@ -200,7 +211,7 @@ def _cmd_check(args) -> int:
     else:
         result["classification"] = "inconclusive"
         code = EXIT_OK
-    _emit("check", {"input": args.input, "p": args.p, "kind": args.kind,
+    _emit("check", {"input": args.input, "p": args.p,
                     "starts": args.starts, "field": args.field},
           args.seed, result, started)
     return code
@@ -222,11 +233,13 @@ def _cmd_range(args) -> int:
 def _load_scalar_field(path: str) -> np.ndarray:
     if path is None:
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != SCHEMA_VERSION or "values" not in doc:
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION or "values" not in doc:
         raise InputError(f"{path}: expected a schema-1 scalar field with values")
-    return np.asarray(doc["values"], dtype=float).ravel()
+    try:
+        return np.asarray(doc["values"], dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed values: {exc}") from exc
 
 
 def _cmd_lame(args) -> int:
@@ -239,6 +252,8 @@ def _cmd_lame(args) -> int:
         if lam_samples.shape != mu_samples.shape:
             raise InputError("lambda and mu fields must share a lattice")
         pairs = list(zip(lam_samples, mu_samples))
+    elif args.lam is None or args.mu is None:
+        raise InputError("lame needs --lambda and --mu, or --lambda-field and --mu-field")
     else:
         pairs = [(args.lam, args.mu)]
     reports = [sufficient_constant(args.n, la, mu) for la, mu in pairs]
@@ -353,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="pointwise margins at one exponent")
     p_check.add_argument("input", help="tensor JSON file or - for stdin")
     p_check.add_argument("--p", type=float, required=True)
-    p_check.add_argument("--kind", choices=["strong", "lh"], default="strong")
     p_check.add_argument("--starts", type=int, default=64)
     p_check.add_argument("--field", choices=["auto", "complex", "real"], default="auto")
     add_common(p_check)

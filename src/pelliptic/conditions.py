@@ -10,12 +10,19 @@ Three normalized forms are evaluated at a tensor ``A`` and a parameter
   ``eta``, directions ``omega`` and real unit frequencies ``q``;
 * the scalar (m = 1) form ``Re <A xi, xi + |t| conj(xi)>``.
 
-For a fixed direction the form is an exact quadratic form in the real
-coordinates of the test state, so the inner infimum is the smallest
-eigenvalue of an assembled symmetric matrix; only the compact direction
-sphere needs a global search (seeded multistart plus local polish). The
-reported value is therefore an upper bound on the true infimum and results
-carry ``certified=False``.
+For a fixed direction the strong and direction-frozen forms are both the
+quadratic form of one matrix over the real coordinates of the test state,
+
+    S(t) = sym((I + t Pi)^T G (I - t Pi)),
+
+with G a pairing matrix (of A, or of M_q for the direction-frozen form) and
+Pi the projection onto the direction. One assembly builds S(t) for both
+searches, so the inner infimum is the smallest eigenvalue of S(t); only the
+compact direction set needs a global search (seeded multistart plus local
+polish). The reported value is therefore an upper bound on the true infimum
+and results carry ``certified=False``. At a fixed witness the form is an
+exact parabola in t, read off the lowest eigenvector; the ``WitnessPool``
+keeps these parabolas across t values.
 
 Test-field convention: real tensors are tested with real states and real
 directions, complex tensors with complex ones (``SearchConfig.test_field``
@@ -41,6 +48,8 @@ from .tensors import (
 )
 
 _TEST_FIELDS = ("auto", "complex", "real")
+REFINE_ITERS = 400      # Nelder-Mead iteration cap per polished start
+POLISH_FATOL = 1e-13    # Nelder-Mead value tolerance
 
 
 @dataclass(frozen=True)
@@ -49,9 +58,7 @@ class SearchConfig:
 
     t: float = 0.0
     outer_starts: int = 64
-    refine_iters: int = 400
     seed: int = 0
-    eig_tol: float = 1e-10
     test_field: str = "auto"
 
     def __post_init__(self):
@@ -59,8 +66,6 @@ class SearchConfig:
             raise InputError(f"t must lie in (-1, 1), got {self.t}")
         if self.outer_starts < 1:
             raise InputError("outer_starts must be >= 1")
-        if self.eig_tol <= 0:
-            raise InputError("eig_tol must be positive")
         if self.test_field not in _TEST_FIELDS:
             raise InputError(f"test_field must be one of {_TEST_FIELDS}")
 
@@ -134,20 +139,24 @@ def lh_form_value(A: CoefficientTensor, t: float, eta, omega: UnitState, q) -> f
 def _pairing_matrix(entries: np.ndarray, parts: int) -> np.ndarray:
     """Matrix G with Re<A x, y> = y_rep . G . x_rep.
 
-    Real coordinates are flattened as (part, h, a), part-major; parts is 1
-    for real-state testing and 2 (real, imaginary) otherwise.
+    ``entries`` has shape (..., n, n, m, m); leading axes are batch axes and
+    the result has shape (..., d, d). Real coordinates are flattened as
+    (part, h, a), part-major; parts is 1 for real-state testing and 2
+    (real, imaginary) otherwise.
     """
-    n, m = entries.shape[0], entries.shape[2]
-    Ar = entries.real.transpose(1, 3, 0, 2)  # [k, b, h, a]
-    T = np.zeros((parts, n, m, parts, n, m))
-    T[0, :, :, 0] = Ar
-    if parts == 2:
-        Ai = entries.imag.transpose(1, 3, 0, 2)
-        T[1, :, :, 1] = Ar
-        T[1, :, :, 0] = Ai
-        T[0, :, :, 1] = -Ai
-    d = parts * n * m
-    return T.reshape(d, d)
+    *batch, n, _, m, _ = entries.shape
+    lead = len(batch)
+    rows_cols = (*range(lead), lead + 1, lead + 3, lead, lead + 2)  # [..., k, b, h, a]
+
+    def block(part):
+        return part.transpose(rows_cols).reshape(*batch, n * m, n * m)
+
+    re = block(entries.real)
+    if parts == 1:
+        return re
+    im = block(entries.imag)
+    return np.concatenate([np.concatenate([re, -im], axis=-1),
+                           np.concatenate([im, re], axis=-1)], axis=-2)
 
 
 def _projection_matrices(W: np.ndarray, n: int, parts: int, m: int) -> np.ndarray:
@@ -166,6 +175,7 @@ def _projection_matrices(W: np.ndarray, n: int, parts: int, m: int) -> np.ndarra
 
 
 def _strong_matrices(G: np.ndarray, Pi: np.ndarray, t: float) -> np.ndarray:
+    """S(t) = sym((I + t Pi)^T G (I - t Pi)); G may be one matrix or a batch."""
     d = Pi.shape[-1]
     eye = np.eye(d)
     right = eye - t * Pi   # applied to the first pairing slot
@@ -181,154 +191,113 @@ def _eigvalsh_batch(S: np.ndarray) -> np.ndarray:
         raise NumericalFailureError(f"eigenvalue solve failed: {exc}", partial=S) from exc
 
 
-def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    X = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
+def _normalized(X: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(X, axis=-1, keepdims=True)
     norms[norms == 0] = 1.0
     return X / norms
 
 
-def _complex_to_coords(vec: np.ndarray, parts: int) -> np.ndarray:
-    if parts == 1:
-        return np.real(np.asarray(vec)).ravel()
-    return np.concatenate([np.real(vec).ravel(), np.imag(vec).ravel()])
+def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    return _normalized(rng.standard_normal((count, dim)))
 
 
-def _coords_to_complex(x: np.ndarray, parts: int, m: int) -> np.ndarray:
+def _coords_to_complex(x: np.ndarray, parts: int, size: int) -> np.ndarray:
     if parts == 1:
         return x.astype(complex)
-    return x[:m] + 1j * x[m:]
+    return x[:size] + 1j * x[size:]
 
 
-class _StrongProblem:
-    """Inner-eigenvalue evaluation of the strong form for candidate directions."""
+class _FormProblem:
+    """Smallest eigenvalue of S(t) = sym((I + t Pi)^T G (I - t Pi)) per candidate.
 
-    kind = "strong"
+    A subclass supplies the pairing G and the projection Pi of a batch of
+    normalized candidate directions (``_operands``), the normalization of a
+    raw candidate (``_normalize``, the identity here) and the witness built
+    from an eigenvector (``_make_witness``).
+    """
 
     def __init__(self, A: CoefficientTensor, t: float, parts: int):
-        self.A = A
         self.t = t
         self.parts = parts
         self.n, self.m = A.n, A.m
-        self.dim = parts * A.m
-        entries = A.entries.real.astype(complex) if parts == 1 else A.entries
-        self.G = _pairing_matrix(entries, parts)
+        self.entries = A.entries.real.astype(complex) if parts == 1 else A.entries
+
+    def _normalize(self, W: np.ndarray) -> np.ndarray:
+        return W
 
     def values(self, W: np.ndarray) -> np.ndarray:
-        Pi = _projection_matrices(W, self.n, self.parts, self.m)
-        S = _strong_matrices(self.G, Pi, self.t)
-        return _eigvalsh_batch(S)[:, 0]
+        G, Pi = self._operands(self._normalize(W))
+        return _eigvalsh_batch(_strong_matrices(G, Pi, self.t))[:, 0]
 
-    def witness(self, w: np.ndarray) -> Witness:
-        Pi = _projection_matrices(w[None], self.n, self.parts, self.m)
-        S = _strong_matrices(self.G, Pi, self.t)[0]
-        _, vecs = np.linalg.eigh(S)
-        v = vecs[:, 0].reshape(self.parts, self.n, self.m)
-        xi = v[0] + 1j * v[1] if self.parts == 2 else v[0].astype(complex)
+    def witness(self, w: np.ndarray) -> tuple[Witness, np.ndarray, tuple[float, float, float]]:
+        """Witness, normalized direction and exact parabola at direction w.
+
+        With x the lowest eigenvector of S(t) and y = Pi x, the form value at
+        the frozen witness is a0 + a1 s + a2 s^2 for every s, where
+        a0 = x.Gx, a1 = y.Gx - x.Gy and a2 = -y.Gy.
+        """
+        W = self._normalize(w[None])
+        G, Pi = self._operands(W)
+        _, vecs = np.linalg.eigh(_strong_matrices(G, Pi, self.t)[0])
+        x = vecs[:, 0]
+        y = Pi[0] @ x
+        G = np.broadcast_to(G, Pi.shape)[0]
+        Gx, Gy = G @ x, G @ y
+        parabola = (float(x @ Gx), float(y @ Gx - x @ Gy), float(-(y @ Gy)))
+        return self._make_witness(x, W[0]), W[0], parabola
+
+
+class _StrongProblem(_FormProblem):
+    """Strong form: a candidate is the coordinate vector of omega."""
+
+    def __init__(self, A: CoefficientTensor, t: float, parts: int):
+        super().__init__(A, t, parts)
+        self.dim = parts * A.m
+        self.G = _pairing_matrix(self.entries, parts)
+
+    def _operands(self, W):
+        return self.G, _projection_matrices(W, self.n, self.parts, self.m)
+
+    def _make_witness(self, x, w) -> Witness:
+        xi = _coords_to_complex(x, self.parts, self.n * self.m).reshape(self.n, self.m)
         omega = UnitState(_coords_to_complex(w, self.parts, self.m))
         return Witness(xi=GradientState(xi), omega=omega)
 
-    def quadratic(self, wit: Witness) -> tuple[float, float, float]:
-        """Coefficients (a0, a1, a2) of t -> form value at a frozen witness."""
-        xi = wit.xi
-        eta = project_state(xi, wit.omega)
-        a0 = real_pairing(self.A, xi, xi)
-        a1 = real_pairing(self.A, xi, eta) - real_pairing(self.A, eta, xi)
-        a2 = -real_pairing(self.A, eta, eta)
-        return a0, a1, a2
 
-
-class _LHProblem:
-    """Inner-eigenvalue evaluation of the direction-frozen form.
-
-    A candidate is the concatenation [omega coords | q], each block
-    normalized separately; the contracted matrix M_q is rebuilt per
-    candidate and reuses the strong-form assembly with a single direction
-    index.
-    """
-
-    kind = "lh"
+class _LHProblem(_FormProblem):
+    """Direction-frozen form: a candidate is [omega coords | q], each block
+    normalized separately, and G is the pairing of the contracted matrix
+    M_q = sum_hk A[h,k] q_h q_k with a single direction index, assembled
+    as sum_hk q_h q_k G_hk from the pairings G_hk of the blocks A[h,k]."""
 
     def __init__(self, A: CoefficientTensor, t: float, parts: int):
-        self.A = A
-        self.t = t
-        self.parts = parts
-        self.n, self.m = A.n, A.m
+        super().__init__(A, t, parts)
         self.dim = parts * A.m + A.n
+        self.G_blocks = _pairing_matrix(self.entries[:, :, None, None], parts)
 
-    def _split(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _normalize(self, W):
         pm = self.parts * self.m
-        Wo, Q = W[:, :pm].copy(), W[:, pm:].copy()
-        for block in (Wo, Q):
-            nrm = np.linalg.norm(block, axis=1, keepdims=True)
-            nrm[nrm == 0] = 1.0
-            block /= nrm
-        return Wo, Q
+        return np.hstack([_normalized(W[:, :pm]), _normalized(W[:, pm:])])
 
-    def _contracted_pairing(self, Q: np.ndarray) -> np.ndarray:
-        entries = self.A.entries.real.astype(complex) if self.parts == 1 else self.A.entries
-        Mq = np.einsum("hkab,Bh,Bk->Bab", entries, Q, Q)
-        m = self.m
-        Mr = Mq.real.transpose(0, 2, 1)  # pairing matrix blocks are [b, a]
-        if self.parts == 1:
-            return Mr
-        Mi = Mq.imag.transpose(0, 2, 1)
-        G = np.zeros((Q.shape[0], 2 * m, 2 * m))
-        G[:, :m, :m] = Mr
-        G[:, m:, m:] = Mr
-        G[:, m:, :m] = Mi
-        G[:, :m, m:] = -Mi
-        return G
+    def _operands(self, W):
+        pm = self.parts * self.m
+        Q = W[:, pm:]
+        return (np.einsum("hkij,Bh,Bk->Bij", self.G_blocks, Q, Q),
+                _projection_matrices(W[:, :pm], 1, self.parts, self.m))
 
-    def values(self, W: np.ndarray) -> np.ndarray:
-        Wo, Q = self._split(W)
-        G = self._contracted_pairing(Q)
-        Pi = _projection_matrices(Wo, 1, self.parts, self.m)
-        M = np.matmul(
-            (np.eye(G.shape[-1]) + self.t * Pi).transpose(0, 2, 1),
-            np.matmul(G, np.eye(G.shape[-1]) - self.t * Pi),
-        )
-        S = 0.5 * (M + M.transpose(0, 2, 1))
-        return _eigvalsh_batch(S)[:, 0]
-
-    def witness(self, w: np.ndarray) -> Witness:
-        Wo, Q = self._split(w[None])
-        G = self._contracted_pairing(Q)[0]
-        Pi = _projection_matrices(Wo, 1, self.parts, self.m)
-        S = _strong_matrices(G, Pi, self.t)[0]
-        _, vecs = np.linalg.eigh(S)
-        v = vecs[:, 0].reshape(self.parts, self.m)
-        eta = v[0] + 1j * v[1] if self.parts == 2 else v[0].astype(complex)
-        omega = UnitState(_coords_to_complex(Wo[0], self.parts, self.m))
-        return Witness(eta=eta, omega=omega, q=Q[0])
-
-    def quadratic(self, wit: Witness) -> tuple[float, float, float]:
-        Mq = np.einsum("hkab,h,k->ab", self.A.entries, wit.q, wit.q)
-        if self.parts == 1:
-            Mq = Mq.real.astype(complex)
-        c = float(np.real(np.sum(wit.omega.components * np.conj(wit.eta))))
-        z = wit.omega.components * c
-
-        def pair(x, y):
-            return float(np.real(np.einsum("ab,a,b->", Mq, x, np.conj(y))))
-
-        a0 = pair(wit.eta, wit.eta)
-        a1 = pair(wit.eta, z) - pair(z, wit.eta)
-        a2 = -pair(z, z)
-        return a0, a1, a2
-
-
-def _witness_direction_coords(problem, wit: Witness) -> np.ndarray:
-    w = _complex_to_coords(wit.omega.components, problem.parts)
-    if problem.kind == "lh":
-        q = wit.q if wit.q is not None else np.ones(problem.n) / np.sqrt(problem.n)
-        w = np.concatenate([w, q])
-    return w
+    def _make_witness(self, x, w) -> Witness:
+        pm = self.parts * self.m
+        omega = UnitState(_coords_to_complex(w[:pm], self.parts, self.m))
+        return Witness(eta=_coords_to_complex(x, self.parts, self.m), omega=omega, q=w[pm:])
 
 
 def _minimize_directions(problem, cfg: SearchConfig, extra_starts=(),
-                         starts_count=None, polish=3) -> MarginResult:
-    """Multistart + local polish over the compact direction set."""
+                         starts_count=None, polish=3):
+    """Multistart + local polish over the compact direction set.
+
+    Returns the margin result, the normalized best direction and the exact
+    parabola of the form at the witness.
+    """
     rng = substream(cfg.seed, 0xD17)
     starts = _unit_rows(rng, starts_count or cfg.outer_starts, problem.dim)
     extras = [np.asarray(w, dtype=float) for w in extra_starts]
@@ -357,25 +326,17 @@ def _minimize_directions(problem, cfg: SearchConfig, extra_starts=(),
             objective,
             starts[idx],
             method="Nelder-Mead",
-            options={
-                "maxiter": cfg.refine_iters,
-                "xatol": 1e-9,
-                "fatol": max(cfg.eig_tol * 1e-3, 1e-14),
-            },
+            options={"maxiter": REFINE_ITERS, "xatol": 1e-9, "fatol": POLISH_FATOL},
         )
         if res.fun < best_v:
             z = np.asarray(res.x, dtype=float)
             best_w = z / np.linalg.norm(z)
             best_v = float(res.fun)
 
-    if problem.kind == "lh":
-        # renormalize per block before extracting the witness
-        pm = problem.parts * problem.m
-        wo, q = best_w[:pm], best_w[pm:]
-        best_w = np.concatenate([wo / np.linalg.norm(wo), q / np.linalg.norm(q)])
-    wit = problem.witness(best_w)
+    wit, direction, parabola = problem.witness(best_w)
     value = float(problem.values(best_w[None])[0])
-    return MarginResult(value=value, witness=wit, evaluations=counter[0], certified=False)
+    result = MarginResult(value=value, witness=wit, evaluations=counter[0], certified=False)
+    return result, direction, parabola
 
 
 def _make_problem(A: CoefficientTensor, kind: str, t: float, field_mode: str):
@@ -390,13 +351,13 @@ def _make_problem(A: CoefficientTensor, kind: str, t: float, field_mode: str):
 def strong_margin(A: CoefficientTensor, cfg: SearchConfig, extra_starts=()) -> MarginResult:
     """Estimated inf over unit (xi, omega) of the strong form at cfg.t."""
     problem = _make_problem(A, "strong", cfg.t, cfg.resolve_field(A))
-    return _minimize_directions(problem, cfg, extra_starts)
+    return _minimize_directions(problem, cfg, extra_starts)[0]
 
 
 def lh_margin(A: CoefficientTensor, cfg: SearchConfig, extra_starts=()) -> MarginResult:
     """Estimated inf over unit (eta, omega, q) of the direction-frozen form."""
     problem = _make_problem(A, "lh", cfg.t, cfg.resolve_field(A))
-    return _minimize_directions(problem, cfg, extra_starts)
+    return _minimize_directions(problem, cfg, extra_starts)[0]
 
 
 def scalar_p_margin(A: CoefficientTensor, p: float) -> float:
@@ -426,9 +387,9 @@ class WitnessPool:
     quadratics: list = field(default_factory=list)   # (a0, a1, a2) triples
     directions: list = field(default_factory=list)   # direction coords for warm starts
 
-    def add(self, problem, wit: Witness):
-        self.quadratics.append(problem.quadratic(wit))
-        self.directions.append(_witness_direction_coords(problem, wit))
+    def add(self, direction: np.ndarray, parabola: tuple[float, float, float]):
+        self.quadratics.append(parabola)
+        self.directions.append(direction)
 
     def envelope(self, t: float) -> float:
         if not self.quadratics:
@@ -454,11 +415,11 @@ def pooled_margin(A: CoefficientTensor, kind: str, cfg: SearchConfig, t: float,
         polish = 1
     else:
         starts_count, polish = cfg.outer_starts, 3
-    res = _minimize_directions(
+    res, direction, parabola = _minimize_directions(
         problem, cfg_t, extra_starts=pool.directions,
         starts_count=starts_count, polish=polish,
     )
-    pool.add(problem, res.witness)
+    pool.add(direction, parabola)
     return min(res.value, pool.envelope(t))
 
 

@@ -356,7 +356,9 @@ def lambda_p_estimate(F: TensorField, p: float, trials: int, seed: int = 0,
     if not p > 1.0:
         raise InputError("p must exceed 1")
     n, m = F.n, F.m
+    _check_field(F, n, m)
     real = F.is_real
+    A_all = _cell_tensors(F, n, N)
     best = np.inf
     for trial in range(trials):
         rng = substream(seed, trial)
@@ -375,9 +377,7 @@ def lambda_p_estimate(F: TensorField, p: float, trials: int, seed: int = 0,
             (p - 2.0) * (w ** (p - 3.0))[:, None, None] * dmag[:, :, None] * base[:, None, :]
             + (w ** (p - 2.0))[:, None, None] * grad
         )
-        A_cells = _cell_tensors(F, n, N)
-        if A_cells.shape[0] > 1:
-            A_cells = A_cells[ok]
+        A_cells = A_all[ok] if A_all.shape[0] > 1 else A_all
         num = _pair_cells(A_cells, grad, target)
         den = float(np.sum((w ** (p - 2.0)) * np.einsum("sha,sha->s", grad, np.conj(grad)).real))
         if den <= 0:

@@ -166,7 +166,9 @@ def field_range(F: TensorField, kind: str = "strong",
         try:
             return condition_range(tensor, kind, cfg)
         except Exception as exc:
-            raise type(exc)(f"sample {idx}: {exc}") from exc
+            # keep the exception itself, so its type and attributes survive
+            exc.args = (f"sample {idx}: {exc}",) + exc.args[1:]
+            raise
 
     ranges = parallel_map(per_sample, enumerate(tensors))
     out = ranges[0]

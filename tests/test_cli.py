@@ -242,3 +242,24 @@ class TestContracts:
     def test_bad_p_exit_two(self, capsys, identity_file):
         code, _, err = run_cli(capsys, "check", identity_file, "--p", "1.0")
         assert code == 2
+
+    @pytest.mark.parametrize("case", ["no-moduli", "missing-field-file", "no-entries", "bad-n"])
+    def test_malformed_input_exit_two(self, capsys, tmp_path, case):
+        docs = {
+            "no-entries": {"schema": 1, "n": 2, "m": 2},
+            "bad-n": {"schema": 1, "n": "x", "m": 2, "entries": []},
+        }
+        if case == "no-moduli":
+            argv = ["lame", "--n", "3"]
+        elif case == "missing-field-file":
+            missing = str(tmp_path / "missing.json")
+            argv = ["lame", "--n", "2", "--lambda-field", missing, "--mu-field", missing]
+        else:
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(docs[case]))
+            argv = ["range", str(path)]
+        code, payload, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert payload is None
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pelliptic as pe
+from pelliptic import conditions
 from pelliptic.errors import InputError
 
 
@@ -193,6 +194,37 @@ class TestMargins:
         r1 = pe.strong_margin(A, cfg)
         r2 = pe.strong_margin(A, cfg)
         assert r1.value == r2.value
+
+
+class TestPoolParabola:
+    """The pool's parabola, read off the search's own eigenvector, is the
+    exact form value at the search's witness for every t."""
+
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    @pytest.mark.parametrize("test_field", ["real", "complex"])
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+    def test_parabola_is_form_value_at_witness(self, monkeypatch, kind, test_field, n, m):
+        witnesses = []
+        search = conditions._minimize_directions
+
+        def recording_search(*args, **kwargs):
+            out = search(*args, **kwargs)
+            witnesses.append(out[0].witness)
+            return out
+
+        monkeypatch.setattr(conditions, "_minimize_directions", recording_search)
+        A = pe.random_elliptic_tensor(n, m, "legendre-perturbed", seed=10 * n + m)
+        pool = conditions.WitnessPool()
+        cfg = pe.SearchConfig(seed=3, test_field=test_field)
+        conditions.pooled_margin(A, kind, cfg, 0.3, pool)
+        (wit,) = witnesses
+        ((a0, a1, a2),) = pool.quadratics
+        for t in (-0.7, 0.0, 0.5):
+            if kind == "strong":
+                expected = pe.strong_form_value(A, t, wit.xi, wit.omega)
+            else:
+                expected = pe.lh_form_value(A, t, wit.eta, wit.omega, wit.q)
+            assert a0 + a1 * t + a2 * t * t == pytest.approx(expected, abs=1e-12)
 
 
 class TestScalarMargin:

@@ -220,6 +220,12 @@ class TestLambdaEstimate:
         lame = pe.TensorField.constant(pe.lame_tensor(1.0, 1.0, 0.5, 2))
         assert pe.lambda_p_estimate(lame, 6.0, trials=6, seed=0) > 0.0
 
+    def test_lattice_dimension_mismatch_rejected(self):
+        ident = pe.CoefficientTensor.identity(2, 2)
+        F = pe.TensorField.sampled([ident, ident], grid=(2,))
+        with pytest.raises(InputError, match="n-dimensional lattice"):
+            pe.lambda_p_estimate(F, 3.0, trials=2, seed=0)
+
 
 class TestGridValidation:
     def test_boundary_must_vanish(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pelliptic as pe
+from pelliptic import prange
 from pelliptic.errors import InputError
 
 
@@ -151,6 +152,20 @@ class TestFieldRange:
         monkeypatch.setenv("PELL_THREADS", "4")
         threaded = pe.field_range(F, "strong", cfg)
         assert (serial.t_lo, serial.t_hi) == (threaded.t_lo, threaded.t_hi)
+
+    def test_sample_failure_keeps_type_and_partial(self, monkeypatch):
+        def fail_on_sample_one(tensor, kind, cfg):
+            if tensor.entries[0, 0, 0, 0] == 2.0:
+                raise pe.NumericalFailureError("solve failed", partial="STATE")
+            return pe.PRange(-0.5, 0.5)
+
+        monkeypatch.setattr(prange, "condition_range", fail_on_sample_one)
+        tensors = [pe.CoefficientTensor.from_matrix(k * np.eye(2)) for k in (1.0, 2.0, 3.0)]
+        F = pe.TensorField.sampled(tensors, grid=(3,))
+        with pytest.raises(pe.NumericalFailureError) as info:
+            pe.field_range(F, "strong", pe.SearchConfig(seed=12))
+        assert info.value.partial == "STATE"
+        assert str(info.value) == "sample 1: solve failed"
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(10)
