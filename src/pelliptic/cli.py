@@ -43,17 +43,9 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _entries_to_json(entries: np.ndarray):
-    re = entries.real
-    im = entries.imag
-    return [
-        [
-            [[[float(re[h, k, a, b]), float(im[h, k, a, b])] for b in range(entries.shape[3])]
-             for a in range(entries.shape[2])]
-            for k in range(entries.shape[1])
-        ]
-        for h in range(entries.shape[0])
-    ]
+def _complex_to_json(z: np.ndarray) -> list:
+    """Nested lists with every complex entry as [re, im]."""
+    return np.stack([z.real, z.imag], axis=-1).tolist()
 
 
 def _entries_from_json(node) -> np.ndarray:
@@ -65,7 +57,7 @@ def _entries_from_json(node) -> np.ndarray:
 
 def tensor_to_json(A: CoefficientTensor) -> dict:
     return {"schema": SCHEMA_VERSION, "n": A.n, "m": A.m,
-            "entries": _entries_to_json(A.entries)}
+            "entries": _complex_to_json(A.entries)}
 
 
 def field_to_json(F: TensorField) -> dict:
@@ -78,7 +70,7 @@ def field_to_json(F: TensorField) -> dict:
         "m": F.m,
         "grid": list(F.grid),
         "periodic": F.periodic,
-        "samples": [_entries_to_json(e) for e in body],
+        "samples": _complex_to_json(body),
     }
 
 
@@ -95,7 +87,7 @@ def parse_input_document(doc: dict) -> TensorField:
         raise
     except KeyError as exc:
         raise InputError(f"missing field: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed document: {exc}") from exc
 
 
@@ -171,11 +163,11 @@ def _emit(command: str, config: dict, seed, result: dict, started: float) -> Non
 def _witness_json(witness) -> dict:
     out = {}
     if witness.xi is not None:
-        out["xi"] = [[[float(z.real), float(z.imag)] for z in row] for row in witness.xi.components]
+        out["xi"] = _complex_to_json(witness.xi.components)
     if witness.eta is not None:
-        out["eta"] = [[float(z.real), float(z.imag)] for z in witness.eta]
+        out["eta"] = _complex_to_json(witness.eta)
     if witness.omega is not None:
-        out["omega"] = [[float(z.real), float(z.imag)] for z in witness.omega.components]
+        out["omega"] = _complex_to_json(witness.omega.components)
     if witness.q is not None:
         out["q"] = [float(x) for x in witness.q]
     return out
@@ -339,10 +331,7 @@ def _cmd_falsify(args) -> int:
                 "n": hit.grid.n,
                 "N": hit.grid.N,
                 "m": hit.grid.m,
-                "values": [
-                    [float(z.real), float(z.imag)]
-                    for z in hit.grid.values.ravel()
-                ],
+                "values": _complex_to_json(hit.grid.values.ravel()),
             },
             "trials": args.trials,
             "p": args.p,

@@ -261,10 +261,10 @@ def falsify_integral(F: TensorField, p: float, trials: int, seed: int = 0,
                      N: int = 33) -> Counterexample | None:
     """Search for a test function with non-positive quotient.
 
-    Returns the lowest-index hit or None. None does not certify the
-    condition; a positive strong margin does, and a returned counterexample
-    soundly refutes. Real fields are probed with real test functions,
-    complex fields with complex ones.
+    Returns the lowest-index hit, running no trial after it, or None.
+    None does not certify the condition; a positive strong margin does, and
+    a returned counterexample soundly refutes. Real fields are probed with
+    real test functions, complex fields with complex ones.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -277,11 +277,9 @@ def falsify_integral(F: TensorField, p: float, trials: int, seed: int = 0,
         q = discrete_quotient(F, p, grid)
         return (trial, q, grid)
 
-    for start in range(0, trials, 64):
-        batch = range(start, min(start + 64, trials))
-        for trial, q, grid in parallel_map(run, batch):
-            if q <= 0.0:
-                return Counterexample(grid=grid, quotient=q, p=p, trial=trial, seed=seed)
+    for trial, q, grid in parallel_map(run, range(trials)):
+        if q <= 0.0:
+            return Counterexample(grid=grid, quotient=q, p=p, trial=trial, seed=seed)
     return None
 
 

@@ -30,6 +30,8 @@ POISSON_LIMIT = 0.396
 
 
 def _check_moduli(lam: float, mu: float):
+    if not (math.isfinite(lam) and math.isfinite(mu)):
+        raise InputError(f"moduli must be finite, got lam={lam}, mu={mu}")
     if not (mu > 0.0 and lam + 2.0 * mu > 0.0):
         raise InputError(f"need mu > 0 and lam + 2 mu > 0, got lam={lam}, mu={mu}")
 

@@ -156,7 +156,11 @@ def _check_concavity(pool: WitnessPool, lo: float, hi: float):
 
 def field_range(F: TensorField, kind: str = "strong",
                 cfg: SearchConfig = SearchConfig()) -> PRange:
-    """Intersection of condition_range over every lattice sample."""
+    """Intersection of condition_range over every lattice sample.
+
+    Samples are searched in lattice order, and the search stops at the first
+    one that empties the intersection.
+    """
     tensors = list(F.iter_tensors())
     if not tensors:
         raise InputError("field has no samples")
@@ -170,9 +174,8 @@ def field_range(F: TensorField, kind: str = "strong",
             exc.args = (f"sample {idx}: {exc}",) + exc.args[1:]
             raise
 
-    ranges = parallel_map(per_sample, enumerate(tensors))
-    out = ranges[0]
-    for r in ranges[1:]:
+    out = PRange(-1.0, 1.0)  # every range lies inside, so the first intersect copies it
+    for r in parallel_map(per_sample, enumerate(tensors)):
         out = out.intersect(r)
         if out.empty:
             break

@@ -1,27 +1,13 @@
-"""Worker-count policy and deterministic RNG substreams."""
+"""Deterministic RNG substreams and the one ordered map the searches use.
+
+Everything runs on one thread: the per-sample range searches and the
+falsifier's trials are consumed in order, so a caller can stop at the first
+item that settles its answer.
+"""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
-
-
-def worker_count() -> int:
-    """Number of parallel workers; capped by the PELL_THREADS env var.
-
-    Results never depend on this value, only wall-clock time does.
-    """
-    cap = os.environ.get("PELL_THREADS")
-    avail = os.cpu_count() or 1
-    if cap is None:
-        return min(4, avail)
-    try:
-        n = int(cap)
-    except ValueError:
-        return 1
-    return max(1, min(n, avail))
 
 
 def substream(seed, *indices) -> np.random.Generator:
@@ -30,10 +16,11 @@ def substream(seed, *indices) -> np.random.Generator:
 
 
 def parallel_map(fn, items):
-    """Order-preserving map over items, threaded when workers > 1."""
-    items = list(items)
-    w = worker_count()
-    if w <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, items))
+    """Lazy, order-preserving ``map(fn, items)``.
+
+    It is sequential. The name stays because the benchmark's tracer
+    (``perfbench/trace.py``) wraps ``prange.parallel_map`` and
+    ``integral.parallel_map`` by name, and a traced run fails with
+    AttributeError if either is missing.
+    """
+    return map(fn, items)

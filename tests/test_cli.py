@@ -1,13 +1,21 @@
 """End-to-end CLI checks: schema, exit codes, determinism."""
 
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pelliptic as pe
-from pelliptic.cli import main, parse_input_document, tensor_to_json, field_to_json
+from pelliptic.cli import (
+    _load_scalar_field,
+    field_to_json,
+    main,
+    parse_input_document,
+    tensor_to_json,
+)
 
 
 def run_cli(capsys, *argv):
@@ -243,23 +251,103 @@ class TestContracts:
         code, _, err = run_cli(capsys, "check", identity_file, "--p", "1.0")
         assert code == 2
 
-    @pytest.mark.parametrize("case", ["no-moduli", "missing-field-file", "no-entries", "bad-n"])
+    @pytest.mark.parametrize("case", ["no-moduli", "missing-field-file", "no-entries", "bad-n",
+                                      "n-overflow", "grid-overflow", "lambda-inf",
+                                      "lambda-field-overflow"])
     def test_malformed_input_exit_two(self, capsys, tmp_path, case):
+        # json reads 1e400 as inf
         docs = {
-            "no-entries": {"schema": 1, "n": 2, "m": 2},
-            "bad-n": {"schema": 1, "n": "x", "m": 2, "entries": []},
+            "no-entries": '{"schema": 1, "n": 2, "m": 2}',
+            "bad-n": '{"schema": 1, "n": "x", "m": 2, "entries": []}',
+            "n-overflow": '{"schema": 1, "n": 1e400, "m": 2, "entries": []}',
+            "grid-overflow": '{"schema": 1, "n": 1, "m": 1, "grid": [1e400], "samples": []}',
         }
+        message = None
         if case == "no-moduli":
             argv = ["lame", "--n", "3"]
         elif case == "missing-field-file":
             missing = str(tmp_path / "missing.json")
             argv = ["lame", "--n", "2", "--lambda-field", missing, "--mu-field", missing]
+        elif case == "lambda-inf":
+            argv = ["lame", "--n", "3", "--lambda", "inf", "--mu", "1"]
+            message = "moduli must be finite"
+        elif case == "lambda-field-overflow":
+            lam, mu = tmp_path / "lam.json", tmp_path / "mu.json"
+            lam.write_text('{"schema": 1, "values": [1.0, 1e400]}')
+            mu.write_text('{"schema": 1, "values": [1.0, 1.0]}')
+            argv = ["lame", "--n", "3", "--lambda-field", str(lam), "--mu-field", str(mu)]
+            message = "moduli must be finite"
         else:
             path = tmp_path / "doc.json"
-            path.write_text(json.dumps(docs[case]))
+            path.write_text(docs[case])
             argv = ["range", str(path)]
         code, payload, err = run_cli(capsys, *argv)
         assert code == 2
         assert payload is None
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+        if message is not None:
+            assert message in err
+
+
+# JSON-like values; json reads 1e400 as inf, as Python does
+_LEAVES = st.one_of(
+    st.integers(-3, 4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e400, -1e400, math.nan, "inf", "1", "x", "", None, True]),
+)
+_JSONISH = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=2), kids, max_size=2),
+    max_leaves=10,
+)
+_BASE_DOCS = (
+    tensor_to_json(pe.CoefficientTensor.identity(2, 2)),
+    field_to_json(pe.TensorField.sampled(
+        [pe.CoefficientTensor.from_matrix(k * np.eye(1)) for k in (1.0, 2.0)], grid=(2,))),
+)
+
+
+@st.composite
+def _documents(draw):
+    """A valid tensor or field document with some fields dropped, replaced
+    or with one nested value replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(_BASE_DOCS)))
+    for key in ("n", "m", "entries", "grid", "samples", "periodic"):
+        action = draw(st.sampled_from(["keep", "keep", "keep", "drop", "replace", "leaf"]))
+        if action == "drop":
+            doc.pop(key, None)
+        elif action == "replace":
+            doc[key] = draw(_LEAVES | _JSONISH)
+        elif action == "leaf" and isinstance(doc.get(key), list) and doc[key]:
+            node = doc[key]
+            while True:
+                i = draw(st.integers(0, len(node) - 1))
+                if not (isinstance(node[i], list) and node[i]):
+                    node[i] = draw(_JSONISH)
+                    break
+                node = node[i]
+    return doc
+
+
+class TestInputFuzz:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(doc=_documents())
+    def test_document_parses_or_input_error(self, doc):
+        try:
+            F = parse_input_document(doc)
+        except pe.InputError:
+            return
+        assert isinstance(F, pe.TensorField)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(values=_JSONISH, drop_schema=st.booleans())
+    def test_scalar_field_loads_or_input_error(self, tmp_path_factory, values, drop_schema):
+        doc = {"values": values} if drop_schema else {"schema": 1, "values": values}
+        path = tmp_path_factory.getbasetemp() / "fuzzed-scalar-field.json"
+        path.write_text(json.dumps(doc))
+        try:
+            out = _load_scalar_field(str(path))
+        except pe.InputError:
+            return
+        assert isinstance(out, np.ndarray) and out.ndim == 1 and out.dtype == float

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pelliptic as pe
+from pelliptic import integral
 from pelliptic.errors import InputError
 from pelliptic.integral import _forward_gradient
 
@@ -151,6 +152,23 @@ class TestFalsifier:
         assert (a is None) == (b is None)
         if a is not None:
             assert a.trial == b.trial and a.quotient == b.quotient
+
+    def test_stops_at_lowest_index_hit(self, monkeypatch):
+        original = integral.discrete_quotient
+        quotients = []
+
+        def counted(F, p, v):
+            quotients.append(original(F, p, v))
+            return quotients[-1]
+
+        monkeypatch.setattr(integral, "discrete_quotient", counted)
+        t = np.sqrt(0.9)
+        lame = pe.TensorField.constant(pe.lame_tensor(1.0, 1.0, 0.5, 2))
+        hit = pe.falsify_integral(lame, 2.0 / (1.0 - t), trials=64, seed=13, N=17)
+        assert hit is not None and 0 < hit.trial < 63
+        assert len(quotients) == hit.trial + 1
+        assert all(q > 0.0 for q in quotients[:-1])
+        assert quotients[-1] == hit.quotient
 
     def test_real_field_draws_real_functions(self):
         lame = pe.TensorField.constant(pe.lame_tensor(1.0, 1.0, 0.5, 2))

@@ -143,15 +143,20 @@ class TestFieldRange:
         F = pe.TensorField.sampled([good, bad], grid=(2,))
         assert pe.field_range(F, "strong", pe.SearchConfig(seed=9)).empty
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        tensors = [pe.lame_tensor(1.0, 1.0, 0.5, 2), pe.CoefficientTensor.identity(2, 2)]
-        F = pe.TensorField.sampled(np.stack([t.entries for t in tensors]), grid=(2,))
-        cfg = pe.SearchConfig(seed=10)
-        monkeypatch.setenv("PELL_THREADS", "1")
-        serial = pe.field_range(F, "strong", cfg)
-        monkeypatch.setenv("PELL_THREADS", "4")
-        threaded = pe.field_range(F, "strong", cfg)
-        assert (serial.t_lo, serial.t_hi) == (threaded.t_lo, threaded.t_hi)
+    def test_empty_first_sample_stops_the_search(self, monkeypatch):
+        original = prange.condition_range
+        calls = []
+
+        def counted(tensor, kind, cfg):
+            calls.append(tensor)
+            return original(tensor, kind, cfg)
+
+        monkeypatch.setattr(prange, "condition_range", counted)
+        bad = pe.CoefficientTensor.from_matrix(np.array([[-1.0]]))
+        good = pe.CoefficientTensor.from_matrix(np.eye(1))
+        F = pe.TensorField.sampled([bad, good, good], grid=(3,))
+        assert pe.field_range(F, "strong", pe.SearchConfig(seed=9)).empty
+        assert len(calls) == 1
 
     def test_sample_failure_keeps_type_and_partial(self, monkeypatch):
         def fail_on_sample_one(tensor, kind, cfg):
