@@ -23,7 +23,6 @@ from .errors import (
     DimensionMismatchError,
     GenerationError,
     InputError,
-    InternalInconsistencyError,
     NumericalFailureError,
     PellipticError,
 )

@@ -16,13 +16,19 @@ quadratic form of one matrix over the real coordinates of the test state,
     S(t) = sym((I + t Pi)^T G (I - t Pi)),
 
 with G a pairing matrix (of A, or of M_q for the direction-frozen form) and
-Pi the projection onto the direction. One assembly builds S(t) for both
-searches, so the inner infimum is the smallest eigenvalue of S(t); only the
-compact direction set needs a global search (seeded multistart plus local
-polish). The reported value is therefore an upper bound on the true infimum
-and results carry ``certified=False``. At a fixed witness the form is an
-exact parabola in t, read off the lowest eigenvector; the ``WitnessPool``
-keeps these parabolas across t values.
+Pi = V V^T the projection onto the direction, V an orthonormal basis of
+its range. One assembly builds S(t) for both searches, so the inner
+infimum is the smallest eigenvalue of S(t); only the compact direction set
+needs a global search (seeded multistart plus local polish). The reported
+value is therefore an upper bound on the true infimum and results carry
+``certified=False``. At a fixed witness the form is an exact parabola in
+t, read off the lowest eigenvector; the ``WitnessPool`` keeps these
+parabolas across t values.
+
+The same assembly gives the ends of an admissible interval: per direction
+the first t on each side of 0 where S(t) = S0 + t S1 + t^2 S2 turns
+singular is a small eigenvalue solve, since S1 and S2 have low rank
+(``_FormProblem.thresholds``), and ``threshold_ends`` searches directions.
 
 Test-field convention: real tensors are tested with real states and real
 directions, complex tensors with complex ones (``SearchConfig.test_field``
@@ -159,19 +165,15 @@ def _pairing_matrix(entries: np.ndarray, parts: int) -> np.ndarray:
                            np.concatenate([im, re], axis=-1)], axis=-2)
 
 
-def _projection_matrices(W: np.ndarray, n: int, parts: int, m: int) -> np.ndarray:
-    """Batched matrices of the real-linear map xi -> xi(omega).
+def _direction_basis(W: np.ndarray, n: int, parts: int, m: int) -> np.ndarray:
+    """Batched orthonormal bases V of the real-linear map xi -> xi(omega).
 
-    W has shape (B, parts*m), rows are unit direction coordinates.
+    W has shape (B, parts*m), rows are unit direction coordinates w. Column
+    h of V (shape (B, d, n)) is e_h (x) w, so Pi = V V^T.
     """
     B = W.shape[0]
-    Wr = W.reshape(B, parts, m)
-    P = np.einsum("bpa,bqc->bpaqc", Wr, Wr)
-    Pi = np.zeros((B, parts, n, m, parts, n, m))
-    for h in range(n):
-        Pi[:, :, h, :, :, h, :] = P
-    d = parts * n * m
-    return Pi.reshape(B, d, d)
+    V = W.reshape(B, parts, 1, m, 1) * np.eye(n)[:, None, :]
+    return V.reshape(B, parts * n * m, n)
 
 
 def _strong_matrices(G: np.ndarray, Pi: np.ndarray, t: float) -> np.ndarray:
@@ -210,10 +212,10 @@ def _coords_to_complex(x: np.ndarray, parts: int, size: int) -> np.ndarray:
 class _FormProblem:
     """Smallest eigenvalue of S(t) = sym((I + t Pi)^T G (I - t Pi)) per candidate.
 
-    A subclass supplies the pairing G and the projection Pi of a batch of
-    normalized candidate directions (``_operands``), the normalization of a
-    raw candidate (``_normalize``, the identity here) and the witness built
-    from an eigenvector (``_make_witness``).
+    A subclass supplies the pairing G and the direction basis V (Pi = V V^T)
+    of a batch of normalized candidate directions (``_operands``), the
+    normalization of a raw candidate (``_normalize``, the identity here) and
+    the witness built from an eigenvector (``_make_witness``).
     """
 
     def __init__(self, A: CoefficientTensor, t: float, parts: int):
@@ -225,26 +227,60 @@ class _FormProblem:
     def _normalize(self, W: np.ndarray) -> np.ndarray:
         return W
 
-    def values(self, W: np.ndarray) -> np.ndarray:
-        G, Pi = self._operands(self._normalize(W))
-        return _eigvalsh_batch(_strong_matrices(G, Pi, self.t))[:, 0]
+    def _split(self, G: np.ndarray):
+        """sym(G), skew(G), F^T with F F^T = sym(G)^-1, and whether sym(G)
+        is positive definite (F is meaningless where it is not)."""
+        Gt = np.swapaxes(G, -1, -2)
+        S0 = 0.5 * (G + Gt)
+        lam, Q = np.linalg.eigh(S0)
+        definite = lam[..., 0] > 0.0
+        Ft = np.swapaxes(Q, -1, -2) / np.sqrt(np.where(lam > 0.0, lam, 1.0))[..., None]
+        return S0, 0.5 * (G - Gt), Ft, definite
 
-    def witness(self, w: np.ndarray) -> tuple[Witness, np.ndarray, tuple[float, float, float]]:
-        """Witness, normalized direction and exact parabola at direction w.
+    def values(self, W: np.ndarray) -> np.ndarray:
+        G, V = self._operands(self._normalize(W))
+        return _eigvalsh_batch(_strong_matrices(G, V @ V.transpose(0, 2, 1), self.t))[:, 0]
+
+    def witness(self, w: np.ndarray) -> tuple[Witness, np.ndarray, tuple, float]:
+        """Witness, normalized direction, exact parabola and value at direction w.
 
         With x the lowest eigenvector of S(t) and y = Pi x, the form value at
         the frozen witness is a0 + a1 s + a2 s^2 for every s, where
         a0 = x.Gx, a1 = y.Gx - x.Gy and a2 = -y.Gy.
         """
         W = self._normalize(w[None])
-        G, Pi = self._operands(W)
-        _, vecs = np.linalg.eigh(_strong_matrices(G, Pi, self.t)[0])
+        G, V = self._operands(W)
+        Pi = V @ V.transpose(0, 2, 1)
+        vals, vecs = np.linalg.eigh(_strong_matrices(G, Pi, self.t)[0])
         x = vecs[:, 0]
         y = Pi[0] @ x
         G = np.broadcast_to(G, Pi.shape)[0]
         Gx, Gy = G @ x, G @ y
         parabola = (float(x @ Gx), float(y @ Gx - x @ Gy), float(-(y @ Gy)))
-        return self._make_witness(x, W[0]), W[0], parabola
+        return self._make_witness(x, W[0]), W[0], parabola, float(vals[0])
+
+    def thresholds(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(t_lo, t_hi): first t on each side of 0 where S(t) is singular.
+
+        With S0 = sym(G), Y = skew(G) V, U = [V, Y] and H = V^T S0 V,
+        S(t) = S0 - t (V Y^T + Y V^T) - t^2 V H V^T, which by the determinant
+        lemma is singular at t = 1/s for the eigenvalues s of J K, where
+        K = U^T S0^-1 U + diag(0, H) = L L^T and J = [[0, I], [I, 0]]; they
+        are the eigenvalues of the symmetric L^T J L. Ends beyond +-1 read
+        +-1; a direction whose S0 is not positive definite reads 0.
+        """
+        G, V = self._operands(self._normalize(W))
+        S0, N, Ft, definite = self._split(G)
+        definite, k = np.broadcast_to(definite, V.shape[:1]), V.shape[-1]
+        R = Ft @ np.concatenate([V, N @ V], axis=-1)
+        K = R.transpose(0, 2, 1) @ R
+        K[:, k:, k:] += V.transpose(0, 2, 1) @ S0 @ V
+        K[~definite] = np.eye(2 * k)
+        L = np.linalg.cholesky(K)
+        s = _eigvalsh_batch(L.transpose(0, 2, 1) @ np.concatenate([L[:, k:], L[:, :k]], axis=1))
+        t_lo = np.where(definite, -1.0 / np.maximum(1.0, -s[:, 0]), 0.0)
+        t_hi = np.where(definite, 1.0 / np.maximum(1.0, s[:, -1]), 0.0)
+        return t_lo, t_hi
 
 
 class _StrongProblem(_FormProblem):
@@ -254,9 +290,13 @@ class _StrongProblem(_FormProblem):
         super().__init__(A, t, parts)
         self.dim = parts * A.m
         self.G = _pairing_matrix(self.entries, parts)
+        self._G_split = super()._split(self.G)
+
+    def _split(self, G):
+        return self._G_split   # G is always self.G
 
     def _operands(self, W):
-        return self.G, _projection_matrices(W, self.n, self.parts, self.m)
+        return self.G, _direction_basis(W, self.n, self.parts, self.m)
 
     def _make_witness(self, x, w) -> Witness:
         xi = _coords_to_complex(x, self.parts, self.n * self.m).reshape(self.n, self.m)
@@ -283,7 +323,7 @@ class _LHProblem(_FormProblem):
         pm = self.parts * self.m
         Q = W[:, pm:]
         return (np.einsum("hkij,Bh,Bk->Bij", self.G_blocks, Q, Q),
-                _projection_matrices(W[:, :pm], 1, self.parts, self.m))
+                _direction_basis(W[:, :pm], 1, self.parts, self.m))
 
     def _make_witness(self, x, w) -> Witness:
         pm = self.parts * self.m
@@ -291,27 +331,20 @@ class _LHProblem(_FormProblem):
         return Witness(eta=_coords_to_complex(x, self.parts, self.m), omega=omega, q=w[pm:])
 
 
-def _minimize_directions(problem, cfg: SearchConfig, extra_starts=(),
-                         starts_count=None, polish=3):
-    """Multistart + local polish over the compact direction set.
+def _multistart(f, dim: int, cfg: SearchConfig, extra_starts=(), starts_count=None, polish=3):
+    """Seeded multistart + Nelder-Mead polish of a batched objective f(W)
+    over raw direction coordinates (each row rescaled to unit norm).
 
-    Returns the margin result, the normalized best direction and the exact
-    parabola of the form at the witness.
+    Returns the best direction, its value and the number of directions
+    evaluated.
     """
     rng = substream(cfg.seed, 0xD17)
-    starts = _unit_rows(rng, starts_count or cfg.outer_starts, problem.dim)
-    extras = [np.asarray(w, dtype=float) for w in extra_starts]
-    if extras:
-        starts = np.vstack([starts] + [e[None] for e in extras])
-    evals = starts.shape[0]
-    vals = problem.values(starts)
-
-    order = np.argsort(vals)
-    top = order[: max(1, min(polish, len(order)))]
-    best_w = starts[top[0]]
-    best_v = float(vals[top[0]])
-
-    counter = [evals]
+    starts = _unit_rows(rng, starts_count or cfg.outer_starts, dim)
+    starts = np.vstack([starts] + [np.asarray(w, dtype=float)[None] for w in extra_starts])
+    vals = f(starts)
+    top = np.argsort(vals)[: max(1, polish)]
+    best_w, best_v = starts[top[0]], float(vals[top[0]])
+    counter = [starts.shape[0]]
 
     def objective(z):
         z = np.asarray(z, dtype=float)
@@ -319,24 +352,26 @@ def _minimize_directions(problem, cfg: SearchConfig, extra_starts=(),
         if not np.isfinite(nrm) or nrm < 1e-12:
             return 1e300
         counter[0] += 1
-        return float(problem.values(z[None] / nrm)[0])
+        return float(f(z[None] / nrm)[0])
 
     for idx in top:
-        res = minimize(
-            objective,
-            starts[idx],
-            method="Nelder-Mead",
-            options={"maxiter": REFINE_ITERS, "xatol": 1e-9, "fatol": POLISH_FATOL},
-        )
+        res = minimize(objective, starts[idx], method="Nelder-Mead",
+                       options={"maxiter": REFINE_ITERS, "xatol": 1e-9, "fatol": POLISH_FATOL})
         if res.fun < best_v:
             z = np.asarray(res.x, dtype=float)
             best_w = z / np.linalg.norm(z)
             best_v = float(res.fun)
+    return best_w, best_v, counter[0]
 
-    wit, direction, parabola = problem.witness(best_w)
-    value = float(problem.values(best_w[None])[0])
-    result = MarginResult(value=value, witness=wit, evaluations=counter[0], certified=False)
-    return result, direction, parabola
+
+def _minimize_directions(problem, cfg: SearchConfig, extra_starts=(),
+                         starts_count=None, polish=3):
+    """Margin search over the compact direction set: the margin result, the
+    normalized best direction and the exact parabola at the witness."""
+    best_w, _, evals = _multistart(problem.values, problem.dim, cfg, extra_starts,
+                                   starts_count, polish)
+    wit, direction, parabola, value = problem.witness(best_w)
+    return MarginResult(value=value, witness=wit, evaluations=evals), direction, parabola
 
 
 def _make_problem(A: CoefficientTensor, kind: str, t: float, field_mode: str):
@@ -358,6 +393,22 @@ def lh_margin(A: CoefficientTensor, cfg: SearchConfig, extra_starts=()) -> Margi
     """Estimated inf over unit (eta, omega, q) of the direction-frozen form."""
     problem = _make_problem(A, "lh", cfg.t, cfg.resolve_field(A))
     return _minimize_directions(problem, cfg, extra_starts)[0]
+
+
+def threshold_ends(A: CoefficientTensor, kind: str, cfg: SearchConfig) -> tuple[float, float]:
+    """(t_lo, t_hi): the first singular t on each side of 0 at the best
+    direction of one search per side, which estimates inf of t_hi(omega)
+    (sup of t_lo), so a miss leaves it too wide. Each search polishes the
+    best 4 of 4 * outer_starts starts, then restarts Nelder-Mead once from
+    the winner (it stalls at its iteration cap on direction-frozen forms).
+    """
+    problem = _make_problem(A, kind, 0.0, cfg.resolve_field(A))
+
+    def search(f):
+        w, _, _ = _multistart(f, problem.dim, cfg, starts_count=4 * cfg.outer_starts, polish=4)
+        return _multistart(f, problem.dim, cfg, extra_starts=[w], starts_count=1, polish=1)[1]
+
+    return -search(lambda W: -problem.thresholds(W)[0]), search(lambda W: problem.thresholds(W)[1])
 
 
 def scalar_p_margin(A: CoefficientTensor, p: float) -> float:
@@ -429,8 +480,7 @@ def margin_curve(A: CoefficientTensor, ts, kind: str = "strong",
 
     Sharing makes the returned curve a pointwise minimum of exact concave
     quadratics whenever the tensor is Legendre-positive on projected states,
-    hence concave, which is the structural guarantee the range logic relies
-    on.
+    hence concave.
     """
     ts = np.asarray(ts, dtype=float)
     pool = WitnessPool()

@@ -24,10 +24,5 @@ class NumericalFailureError(PellipticError, RuntimeError):
         self.partial = partial
 
 
-class InternalInconsistencyError(PellipticError, RuntimeError):
-    """Computed quantities violate a structural guarantee (e.g. sampled
-    concavity); usually signals an outer-search miss."""
-
-
 class GenerationError(PellipticError, RuntimeError):
     """A random generator could not meet its construction contract."""

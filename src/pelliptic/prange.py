@@ -1,11 +1,13 @@
 """Admissible-exponent intervals in the t = 1 - 2/p parametrization.
 
-The margin of a fixed tensor is a pointwise infimum of concave quadratics
-in t, hence concave; positivity at t = 0 (the classical condition) plus
-sign bisection toward each end of (-1, 1) determines the full open
-interval. Reported endpoints are the last certified-positive t; when that
-lands within one bisection tolerance of +-1 the endpoint is clamped to
-+-1 (exponent range (1, inf)).
+For a fixed direction the form is the smallest eigenvalue of
+S(t) = S0 + t S1 + t^2 S2, concave in t once S0 is positive definite, so
+it is positive exactly between the first t on each side of 0 where S(t)
+turns singular; the interval's ends are the extreme thresholds over
+directions. A range needs a positive t = 0 margin (the classical
+condition); each end is then the first singular t of the best direction
+found by one threshold search per side. An end within ``T_TOL`` of +-1 is
+reported as +-1 (exponent range (1, inf)).
 """
 
 from __future__ import annotations
@@ -13,15 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .conditions import SearchConfig, WitnessPool, pooled_margin
-from .errors import InputError, InternalInconsistencyError
+from .conditions import SearchConfig, WitnessPool, pooled_margin, threshold_ends
+from .errors import InputError
 from .runtime import parallel_map
 from .tensors import CoefficientTensor, TensorField, adjoint
 
-T_TOL = 1e-4
-CONCAVITY_SLACK = 1e-6
+T_TOL = 1e-4   # ends this close to +-1 are reported as +-1 (p = 1 or inf)
 
 
 def t_of_p(p: float) -> float:
@@ -95,63 +94,19 @@ class PRange:
         }
 
 
-def _bisect_edge(A, kind, cfg, pool, sign_dir: int) -> float:
-    """Last certified-positive t between 0 and sign_dir * 1."""
-    lo, hi = 0.0, float(sign_dir)  # margin(lo) > 0 already certified; hi is a sentinel
-    while abs(hi - lo) > T_TOL:
-        mid = 0.5 * (lo + hi)
-        if pooled_margin(A, kind, cfg, mid, pool) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _range_with_pool(A, kind, cfg, warm_directions=()):
-    pool = WitnessPool(directions=list(warm_directions))
-    for _ in range(3):
-        m0 = pooled_margin(A, kind, cfg, 0.0, pool)
-        if m0 <= 0.0:
-            return PRange(empty=True), pool
-        hi = _bisect_edge(A, kind, cfg, pool, +1)
-        lo = _bisect_edge(A, kind, cfg, pool, -1)
-        # late witnesses can expose an earlier overestimate; re-certify the
-        # anchor and both endpoints against the final pool, retry if needed
-        # (the pool is kept, so a retry only sharpens the estimates)
-        if all(pool.envelope(t) > 0.0 for t in {0.0, hi, lo}):
-            break
-    else:
-        raise InternalInconsistencyError(
-            "bisection could not stabilize; sampled margins keep moving"
-        )
-    _check_concavity(pool, lo, hi)
-    t_hi = 1.0 if 1.0 - hi <= T_TOL else hi
-    t_lo = -1.0 if 1.0 + lo <= T_TOL else lo
-    return PRange(t_lo, t_hi), pool
-
-
 def condition_range(A: CoefficientTensor, kind: str = "strong",
                     cfg: SearchConfig = SearchConfig()) -> PRange:
     """Open t-interval on which the chosen pointwise condition holds.
 
-    Empty when the t = 0 margin is not positive (no anchor for the
-    concavity argument). Raises InternalInconsistencyError when the sampled
-    margins visibly violate concavity, which indicates an outer-search miss.
+    Empty when the t = 0 margin is not positive, or when the threshold
+    search finds a direction whose t = 0 form is not positive definite.
     """
-    rng, _ = _range_with_pool(A, kind, cfg)
-    return rng
-
-
-def _check_concavity(pool: WitnessPool, lo: float, hi: float):
-    if hi <= lo:
-        return
-    ts = np.linspace(lo, hi, 9)
-    vals = np.array([pool.envelope(t) for t in ts])
-    mids = 0.5 * (vals[:-2] + vals[2:])
-    if np.any(vals[1:-1] < mids - CONCAVITY_SLACK):
-        raise InternalInconsistencyError(
-            "sampled margin violates midpoint concavity beyond tolerance"
-        )
+    if pooled_margin(A, kind, cfg, 0.0, WitnessPool()) <= 0.0:
+        return PRange(empty=True)
+    t_lo, t_hi = threshold_ends(A, kind, cfg)
+    if t_lo == 0.0 or t_hi == 0.0:
+        return PRange(empty=True)
+    return PRange(-1.0 if 1.0 + t_lo <= T_TOL else t_lo, 1.0 if 1.0 - t_hi <= T_TOL else t_hi)
 
 
 def field_range(F: TensorField, kind: str = "strong",
@@ -186,16 +141,14 @@ def duality_residual(A: CoefficientTensor, kind: str = "strong",
                      cfg: SearchConfig = SearchConfig()) -> float:
     """Hausdorff mismatch between the range of A* and the reflected range of A.
 
-    A witness for A at t is a witness for A* at -t with the same form value,
-    so the adjoint search is warm-started from the primal witnesses (and the
-    primal re-run from the adjoint's); the sharing only tightens estimates.
+    The form of A* at (t, omega) is the form of A at (-t, omega), so the
+    thresholds of A* are the reflected thresholds of A, direction by
+    direction. The residual is inf when the range of A* is empty.
     """
-    r_a, pool_a = _range_with_pool(A, kind, cfg)
+    r_a = condition_range(A, kind, cfg)
     if r_a.empty:
         raise InputError("duality residual needs a non-empty range for A")
-    A_star = adjoint(A)
-    r_s, pool_s = _range_with_pool(A_star, kind, cfg, warm_directions=pool_a.directions)
-    r_a, _ = _range_with_pool(A, kind, cfg, warm_directions=pool_s.directions)
-    if r_a.empty or r_s.empty:
-        raise InternalInconsistencyError("range emptied out after warm-started re-run")
+    r_s = condition_range(adjoint(A), kind, cfg)
+    if r_s.empty:
+        return math.inf
     return max(abs(r_s.t_lo + r_a.t_hi), abs(r_s.t_hi + r_a.t_lo))

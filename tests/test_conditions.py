@@ -227,6 +227,32 @@ class TestPoolParabola:
             assert a0 + a1 * t + a2 * t * t == pytest.approx(expected, abs=1e-12)
 
 
+class TestThresholds:
+    """Each per-direction threshold is the first t on its side of 0 where
+    S(t) turns singular: lambda_min is ~0 there and positive just inside."""
+
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    @pytest.mark.parametrize("test_field", ["real", "complex"])
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+    def test_smallest_eigenvalue_vanishes_at_threshold(self, kind, test_field, n, m):
+        A = pe.random_elliptic_tensor(n, m, "legendre-perturbed", seed=10 * n + m)
+        problem = conditions._make_problem(A, kind, 0.0, test_field)
+        W = np.random.default_rng(n + m).standard_normal((6, problem.dim))
+        t_lo, t_hi = problem.thresholds(W)
+        assert np.all(t_lo < 0.0) and np.all(t_hi > 0.0)
+        checked = 0
+        for i in range(W.shape[0]):
+            for t in (t_lo[i], t_hi[i]):
+                if abs(t) == 1.0:
+                    continue
+                at = conditions._make_problem(A, kind, t, test_field).values(W[i : i + 1])[0]
+                inside = conditions._make_problem(A, kind, 0.999 * t, test_field).values(W[i : i + 1])[0]
+                assert at == pytest.approx(0.0, abs=1e-10)
+                assert inside > 0.0
+                checked += 1
+        assert checked > 0
+
+
 class TestScalarMargin:
     def test_phase_scaled_identity_closed_form(self):
         for phi in (0.0, np.pi / 6, np.pi / 3):

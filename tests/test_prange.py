@@ -1,4 +1,4 @@
-"""Exponent-interval computation: conversions, bisection, duality, fields."""
+"""Exponent-interval computation: conversions, threshold ends, duality, fields."""
 
 import math
 
@@ -102,6 +102,25 @@ class TestConditionRange:
         lh = pe.condition_range(A, "legendre-hadamard", cfg)
         assert lh.t_lo <= strong.t_lo + 2e-4
         assert lh.t_hi >= strong.t_hi - 2e-4
+
+    @pytest.mark.parametrize("n,m,seed", [(2, 2, 1), (2, 3, 202), (3, 3, 400)])
+    def test_margin_positive_just_inside_both_ends(self, n, m, seed):
+        A = pe.random_elliptic_tensor(n, m, "hermitian-positive", seed=seed)
+        r = pe.condition_range(A, "strong", pe.SearchConfig(seed=1))
+        oracle = pe.OracleConfig()
+        assert pe.brute_margin(A, r.t_hi - 1e-3, "strong", oracle) > 0.0
+        assert pe.brute_margin(A, r.t_lo + 1e-3, "strong", oracle) > 0.0
+
+    def test_range_does_not_depend_on_seed(self):
+        # a complex tensor whose minimising direction some seeds' starts miss
+        A = pe.random_elliptic_tensor(2, 2, "legendre-perturbed", seed=1155349265)
+        ends = np.array([
+            [r.t_lo, r.t_hi]
+            for r in (pe.condition_range(A, "strong", pe.SearchConfig(seed=s)) for s in range(1, 9))
+        ])
+        assert np.ptp(ends, axis=0).max() <= 1e-9
+        assert ends[0, 1] == pytest.approx(0.264741, abs=1e-6)
+        assert pe.duality_residual(A, "strong", pe.SearchConfig(seed=1)) <= 1e-9
 
 
 class TestMarginCurve:
