@@ -23,12 +23,13 @@ needs a global search (seeded multistart plus local polish). The reported
 value is therefore an upper bound on the true infimum and results carry
 ``certified=False``. At a fixed witness the form is an exact parabola in
 t, read off the lowest eigenvector; the ``WitnessPool`` keeps these
-parabolas across t values.
+parabolas across the t values of a ``margin_curve``.
 
 The same assembly gives the ends of an admissible interval: per direction
 the first t on each side of 0 where S(t) = S0 + t S1 + t^2 S2 turns
 singular is a small eigenvalue solve, since S1 and S2 have low rank
-(``_FormProblem.thresholds``), and ``threshold_ends`` searches directions.
+(``_FormProblem.thresholds``; 0 where S0 is not positive definite, which
+is the classical t = 0 condition), and ``threshold_ends`` searches directions.
 
 Test-field convention: real tensors are tested with real states and real
 directions, complex tensors with complex ones (``SearchConfig.test_field``
@@ -199,8 +200,9 @@ def _normalized(X: np.ndarray) -> np.ndarray:
     return X / norms
 
 
-def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    return _normalized(rng.standard_normal((count, dim)))
+def _starts(cfg: SearchConfig, count: int, dim: int) -> np.ndarray:
+    """The seeded start batch: ``count`` unit rows of raw direction coordinates."""
+    return _normalized(substream(cfg.seed, 0xD17).standard_normal((count, dim)))
 
 
 def _coords_to_complex(x: np.ndarray, parts: int, size: int) -> np.ndarray:
@@ -331,19 +333,13 @@ class _LHProblem(_FormProblem):
         return Witness(eta=_coords_to_complex(x, self.parts, self.m), omega=omega, q=w[pm:])
 
 
-def _multistart(f, dim: int, cfg: SearchConfig, extra_starts=(), starts_count=None, polish=3):
-    """Seeded multistart + Nelder-Mead polish of a batched objective f(W)
-    over raw direction coordinates (each row rescaled to unit norm).
-
+def _polish(f, starts: np.ndarray, values: np.ndarray, polish: int):
+    """Nelder-Mead polish of a batched objective f(W) from the ``polish``
+    best starts (``values`` = f(starts)), each row rescaled to unit norm.
     Returns the best direction, its value and the number of directions
-    evaluated.
-    """
-    rng = substream(cfg.seed, 0xD17)
-    starts = _unit_rows(rng, starts_count or cfg.outer_starts, dim)
-    starts = np.vstack([starts] + [np.asarray(w, dtype=float)[None] for w in extra_starts])
-    vals = f(starts)
-    top = np.argsort(vals)[: max(1, polish)]
-    best_w, best_v = starts[top[0]], float(vals[top[0]])
+    evaluated, the starts included."""
+    top = np.argsort(values)[: max(1, polish)]
+    best_w, best_v = starts[top[0]], float(values[top[0]])
     counter = [starts.shape[0]]
 
     def objective(z):
@@ -368,8 +364,9 @@ def _minimize_directions(problem, cfg: SearchConfig, extra_starts=(),
                          starts_count=None, polish=3):
     """Margin search over the compact direction set: the margin result, the
     normalized best direction and the exact parabola at the witness."""
-    best_w, _, evals = _multistart(problem.values, problem.dim, cfg, extra_starts,
-                                   starts_count, polish)
+    starts = np.vstack([_starts(cfg, starts_count or cfg.outer_starts, problem.dim)]
+                       + [np.asarray(w, dtype=float)[None] for w in extra_starts])
+    best_w, _, evals = _polish(problem.values, starts, problem.values(starts), polish)
     wit, direction, parabola, value = problem.witness(best_w)
     return MarginResult(value=value, witness=wit, evaluations=evals), direction, parabola
 
@@ -398,17 +395,25 @@ def lh_margin(A: CoefficientTensor, cfg: SearchConfig, extra_starts=()) -> Margi
 def threshold_ends(A: CoefficientTensor, kind: str, cfg: SearchConfig) -> tuple[float, float]:
     """(t_lo, t_hi): the first singular t on each side of 0 at the best
     direction of one search per side, which estimates inf of t_hi(omega)
-    (sup of t_lo), so a miss leaves it too wide. Each search polishes the
-    best 4 of 4 * outer_starts starts, then restarts Nelder-Mead once from
-    the winner (it stalls at its iteration cap on direction-frozen forms).
+    (sup of t_lo), so a miss leaves it too wide. Both sides share one batch
+    of 4 * outer_starts starts; if any start reads 0 (the classical t = 0
+    condition fails there) both ends are 0. Otherwise each side polishes its
+    own best 4, then restarts Nelder-Mead once from the winner (it stalls at
+    its iteration cap on direction-frozen forms).
     """
     problem = _make_problem(A, kind, 0.0, cfg.resolve_field(A))
+    starts = _starts(cfg, 4 * cfg.outer_starts, problem.dim)
+    t_lo, t_hi = problem.thresholds(starts)
+    if not t_hi.all():
+        return 0.0, 0.0
 
-    def search(f):
-        w, _, _ = _multistart(f, problem.dim, cfg, starts_count=4 * cfg.outer_starts, polish=4)
-        return _multistart(f, problem.dim, cfg, extra_starts=[w], starts_count=1, polish=1)[1]
+    def search(f, values):
+        w = _polish(f, starts, values, 4)[0]
+        restart = np.vstack([starts[:1], w[None]])
+        return _polish(f, restart, f(restart), 1)[1]
 
-    return -search(lambda W: -problem.thresholds(W)[0]), search(lambda W: problem.thresholds(W)[1])
+    return (-search(lambda W: -problem.thresholds(W)[0], -t_lo),
+            search(lambda W: problem.thresholds(W)[1], t_hi))
 
 
 def scalar_p_margin(A: CoefficientTensor, p: float) -> float:

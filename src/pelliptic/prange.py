@@ -4,10 +4,10 @@ For a fixed direction the form is the smallest eigenvalue of
 S(t) = S0 + t S1 + t^2 S2, concave in t once S0 is positive definite, so
 it is positive exactly between the first t on each side of 0 where S(t)
 turns singular; the interval's ends are the extreme thresholds over
-directions. A range needs a positive t = 0 margin (the classical
-condition); each end is then the first singular t of the best direction
-found by one threshold search per side. An end within ``T_TOL`` of +-1 is
-reported as +-1 (exponent range (1, inf)).
+directions. Where the t = 0 (classical) form is not positive definite both
+thresholds are 0, so a range is empty exactly when an end reads 0; each end
+is the first singular t of the best direction found by one threshold search
+per side. An end within ``T_TOL`` of +-1 is reported as +-1 (p = 1 or inf).
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conditions import SearchConfig, WitnessPool, pooled_margin, threshold_ends
+from .conditions import SearchConfig, threshold_ends
+from .conditions import pooled_margin  # noqa: F401  (wrapped by name in perfbench/trace.py)
 from .errors import InputError
 from .runtime import parallel_map
 from .tensors import CoefficientTensor, TensorField, adjoint
@@ -98,11 +99,9 @@ def condition_range(A: CoefficientTensor, kind: str = "strong",
                     cfg: SearchConfig = SearchConfig()) -> PRange:
     """Open t-interval on which the chosen pointwise condition holds.
 
-    Empty when the t = 0 margin is not positive, or when the threshold
-    search finds a direction whose t = 0 form is not positive definite.
+    Empty when the threshold search finds a direction whose t = 0 form is
+    not positive definite, that is, where the classical condition fails.
     """
-    if pooled_margin(A, kind, cfg, 0.0, WitnessPool()) <= 0.0:
-        return PRange(empty=True)
     t_lo, t_hi = threshold_ends(A, kind, cfg)
     if t_lo == 0.0 or t_hi == 0.0:
         return PRange(empty=True)

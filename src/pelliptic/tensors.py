@@ -296,16 +296,14 @@ class TensorField:
         return TensorField(self.samples[idx], self.grid, periodic=True)
 
 
-def _nearest_index(x: np.ndarray, grid, periodic: bool):
-    idx = []
-    for xd, g in zip(x, grid):
-        j = int(np.round(xd * g))  # lattice positions i/g; ties round half to even
-        if periodic:
-            j %= g
-        else:
-            j = min(max(j, 0), g - 1)
-        idx.append(j)
-    return tuple(idx)
+def _nearest_index(x: np.ndarray, grid, periodic: bool) -> tuple:
+    """Nearest lattice index per axis of points x of shape (..., n), one
+    integer array per axis; lattice positions are i/grid[d] and ties round
+    half to even."""
+    g = np.asarray(grid)
+    j = np.round(x * g).astype(np.intp)
+    j = j % g if periodic else np.clip(j, 0, g - 1)
+    return tuple(np.moveaxis(j, -1, 0))
 
 
 def sample_field(F: TensorField, x, eps: float | None = None) -> CoefficientTensor:

@@ -1,5 +1,7 @@
 """Discrete coercivity quotient, falsifier, and weighted-gradient identities."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,33 @@ class TestDiscreteQuotient:
         v = sine_grid(17, 1, {(1, 1, 0): 1.0})
         q = pe.discrete_quotient(F, 2.0, v)
         assert 1.0 < q < scale
+
+    # grid (16, 16) at N = 17 puts every midpoint coordinate (i + 1/2)/16 * 16
+    # exactly on a rounding tie; the last one rounds to 16, which wraps to 0
+    # on a periodic field and clamps to 15 otherwise
+    @pytest.mark.parametrize("grid,N", [((16, 16), 17), ((3, 5), 17), ((7, 2), 9),
+                                        ((4, 4, 4), 9), ((2, 3, 5), 8)])
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_cell_gather_matches_pointwise_sampling(self, grid, N, periodic):
+        n = len(grid)
+        rng = np.random.default_rng(sum(grid) + N)
+        samples = rng.standard_normal(grid + (n, n, 2, 2)) + 1j * rng.standard_normal(grid + (n, n, 2, 2))
+        F = pe.TensorField(samples, grid, periodic=periodic)
+        mid = (np.arange(N - 1) + 0.5) * (1.0 / (N - 1))   # cell midpoints, as the quotient takes them
+        expected = np.stack([pe.sample_field(F, np.array(x)).entries
+                             for x in itertools.product(mid, repeat=n)])
+        gathered = integral._cell_tensors(F, n, N)
+        assert gathered.shape == expected.shape
+        assert np.array_equal(gathered, expected)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_cell_gather_rounds_ties_half_to_even(self, periodic):
+        # 1-D lattice of 16 points, 16 cells: midpoint i + 1/2 goes to the
+        # even neighbour, and 15.5 -> 16 wraps to 0 or clamps to 15
+        F = pe.TensorField(np.arange(16.0).reshape(16, 1, 1, 1, 1), (16,), periodic=periodic)
+        picked = integral._cell_tensors(F, 1, 17)[:, 0, 0, 0, 0].real
+        even = [i + i % 2 for i in range(15)]
+        assert picked.tolist() == even + [0 if periodic else 15]
 
 
 def _interior_factorization(F, p, v):

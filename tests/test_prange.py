@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pelliptic as pe
-from pelliptic import prange
+from pelliptic import conditions, prange
 from pelliptic.errors import InputError
 
 
@@ -121,6 +121,73 @@ class TestConditionRange:
         assert np.ptp(ends, axis=0).max() <= 1e-9
         assert ends[0, 1] == pytest.approx(0.264741, abs=1e-6)
         assert pe.duality_residual(A, "strong", pe.SearchConfig(seed=1)) <= 1e-9
+
+
+def _shifted(A, c):
+    """A - c I: every t = 0 form value of a unit test object drops by c."""
+    return pe.CoefficientTensor(A.entries - c * pe.CoefficientTensor.identity(A.n, A.m).entries)
+
+
+def _exact_strong_margin(A):
+    """Smallest eigenvalue of the Hermitian part of the (n m) x (n m)
+    matrix M with Re x^H M x = Re <A xi, xi> (complex tensors, complex
+    states)."""
+    d = A.n * A.m
+    M = A.entries.transpose(1, 3, 0, 2).reshape(d, d)
+    return float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0])
+
+
+class TestEmptyRange:
+    """A range is empty exactly when the t = 0 (classical) condition fails,
+    and that verdict costs one threshold evaluation of the start batch."""
+
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    def test_empty_range_runs_no_polish(self, monkeypatch, kind):
+        if kind == "strong":
+            A = pe.CoefficientTensor.from_matrix(np.array([[-1.0]]))
+        else:
+            B = pe.random_elliptic_tensor(2, 2, "legendre-perturbed", seed=7)
+            A = _shifted(B, pe.brute_margin(B, 0.0, "lh", pe.OracleConfig()) + 0.05)
+        polishes, evaluations = [], []
+        minimize, thresholds = conditions.minimize, conditions._FormProblem.thresholds
+
+        def counted_minimize(*args, **kwargs):
+            polishes.append(1)
+            return minimize(*args, **kwargs)
+
+        def counted_thresholds(self, W):
+            evaluations.append(W.shape[0])
+            return thresholds(self, W)
+
+        monkeypatch.setattr(conditions, "minimize", counted_minimize)
+        monkeypatch.setattr(conditions._FormProblem, "thresholds", counted_thresholds)
+        cfg = pe.SearchConfig(seed=1)
+        assert pe.condition_range(A, kind, cfg).empty
+        assert polishes == []
+        assert evaluations == [4 * cfg.outer_starts]
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("style", ["hermitian-positive", "legendre-perturbed"])
+    def test_strong_emptiness_is_the_classical_condition(self, n, m, style):
+        A = pe.random_elliptic_tensor(n, m, style, seed=31 * n + m)
+        m0 = _exact_strong_margin(A)
+        for delta in (-1e-2, 1e-2):
+            B = _shifted(A, m0 + delta)
+            expected_empty = _exact_strong_margin(B) <= 0.0
+            assert expected_empty == (delta > 0)
+            assert pe.condition_range(B, "strong", pe.SearchConfig(seed=1)).empty == expected_empty
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("style", ["hermitian-positive", "legendre-perturbed"])
+    def test_lh_emptiness_is_the_classical_condition(self, n, m, style):
+        oracle = pe.OracleConfig()
+        A = pe.random_elliptic_tensor(n, m, style, seed=31 * n + m)
+        m0 = pe.brute_margin(A, 0.0, "lh", oracle)
+        for delta in (-1e-2, 1e-2):
+            B = _shifted(A, m0 + delta)
+            expected_empty = pe.brute_margin(B, 0.0, "lh", oracle) <= 0.0
+            assert expected_empty == (delta > 0)
+            assert pe.condition_range(B, "lh", pe.SearchConfig(seed=1)).empty == expected_empty
 
 
 class TestMarginCurve:
