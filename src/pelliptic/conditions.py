@@ -19,17 +19,20 @@ with G a pairing matrix (of A, or of M_q for the direction-frozen form) and
 Pi = V V^T the projection onto the direction, V an orthonormal basis of
 its range. One assembly builds S(t) for both searches, so the inner
 infimum is the smallest eigenvalue of S(t); only the compact direction set
-needs a global search (seeded multistart plus local polish). The reported
-value is therefore an upper bound on the true infimum and results carry
-``certified=False``. At a fixed witness the form is an exact parabola in
-t, read off the lowest eigenvector; the ``WitnessPool`` keeps these
-parabolas across the t values of a ``margin_curve``.
+needs a global search: seeded multistart, then one batched gradient polish
+(``minimize``) of the best starts, whose gradients come from the lowest
+eigenvector (``_FormProblem.slope``). The reported value is therefore an
+upper bound on the true infimum and results carry ``certified=False``. At
+a fixed witness the form is an exact parabola in t, read off the lowest
+eigenvector; the ``WitnessPool`` keeps these parabolas across the t values
+of a ``margin_curve``.
 
 The same assembly gives the ends of an admissible interval: per direction
 the first t on each side of 0 where S(t) = S0 + t S1 + t^2 S2 turns
 singular is a small eigenvalue solve, since S1 and S2 have low rank
 (``_FormProblem.thresholds``; 0 where S0 is not positive definite, which
-is the classical t = 0 condition), and ``threshold_ends`` searches directions.
+is the classical t = 0 condition), and ``threshold_ends`` searches directions
+with the same polish.
 
 Test-field convention: real tensors are tested with real states and real
 directions, complex tensors with complex ones (``SearchConfig.test_field``
@@ -42,7 +45,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DimensionMismatchError, InputError, NumericalFailureError
 from .runtime import substream
@@ -55,8 +57,8 @@ from .tensors import (
 )
 
 _TEST_FIELDS = ("auto", "complex", "real")
-REFINE_ITERS = 400      # Nelder-Mead iteration cap per polished start
-POLISH_FATOL = 1e-13    # Nelder-Mead value tolerance
+POLISHED = 16       # best starts each search polishes
+POLISH_STEPS = 300  # step cap per polished row
 
 
 @dataclass(frozen=True)
@@ -177,8 +179,9 @@ def _direction_basis(W: np.ndarray, n: int, parts: int, m: int) -> np.ndarray:
     return V.reshape(B, parts * n * m, n)
 
 
-def _strong_matrices(G: np.ndarray, Pi: np.ndarray, t: float) -> np.ndarray:
-    """S(t) = sym((I + t Pi)^T G (I - t Pi)); G may be one matrix or a batch."""
+def _strong_matrices(G: np.ndarray, Pi: np.ndarray, t) -> np.ndarray:
+    """S(t) = sym((I + t Pi)^T G (I - t Pi)); G may be one matrix or a batch,
+    t a scalar or an array broadcasting against Pi (one value per row)."""
     d = Pi.shape[-1]
     eye = np.eye(d)
     right = eye - t * Pi   # applied to the first pairing slot
@@ -216,32 +219,71 @@ class _FormProblem:
 
     A subclass supplies the pairing G and the direction basis V (Pi = V V^T)
     of a batch of normalized candidate directions (``_operands``), the
-    normalization of a raw candidate (``_normalize``, the identity here) and
-    the witness built from an eigenvector (``_make_witness``).
+    columns where a candidate splits into separately normalized unit blocks
+    (``splits``) and the witness built from an eigenvector (``_make_witness``).
     """
 
     def __init__(self, A: CoefficientTensor, t: float, parts: int):
         self.t = t
         self.parts = parts
+        self.splits = ()
         self.n, self.m = A.n, A.m
         self.entries = A.entries.real.astype(complex) if parts == 1 else A.entries
 
     def _normalize(self, W: np.ndarray) -> np.ndarray:
-        return W
+        """Each unit block of every row rescaled to norm 1 (the polish's retraction)."""
+        return np.hstack([_normalized(B) for B in np.split(W, self.splits, axis=1)])
+
+    def _tangent(self, W: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """g with its component along each unit block of W removed."""
+        return np.hstack([gb - np.sum(gb * wb, axis=1, keepdims=True) * wb
+                          for wb, gb in zip(np.split(W, self.splits, axis=1),
+                                            np.split(g, self.splits, axis=1))])
 
     def _split(self, G: np.ndarray):
-        """sym(G), skew(G), F^T with F F^T = sym(G)^-1, and whether sym(G)
-        is positive definite (F is meaningless where it is not)."""
+        """sym(G), skew(G), F^T with F F^T = sym(G)^-1, and whether sym(G) is
+        positive definite to working precision (elsewhere F is meaningless)."""
         Gt = np.swapaxes(G, -1, -2)
         S0 = 0.5 * (G + Gt)
         lam, Q = np.linalg.eigh(S0)
-        definite = lam[..., 0] > 0.0
+        definite = lam[..., 0] > 1e-12 * np.abs(lam).max(axis=-1)
         Ft = np.swapaxes(Q, -1, -2) / np.sqrt(np.where(lam > 0.0, lam, 1.0))[..., None]
         return S0, 0.5 * (G - Gt), Ft, definite
 
     def values(self, W: np.ndarray) -> np.ndarray:
         G, V = self._operands(self._normalize(W))
         return _eigvalsh_batch(_strong_matrices(G, V @ V.transpose(0, 2, 1), self.t))[:, 0]
+
+    def _lowest(self, W: np.ndarray, t):
+        """lambda_min of S(t), its eigenvector x, y = Pi x, G and V per normalized row."""
+        G, V = self._operands(W)
+        Pi = V @ V.transpose(0, 2, 1)
+        lam, vecs = np.linalg.eigh(_strong_matrices(G, Pi, np.reshape(t, (-1, 1, 1))))
+        x = vecs[..., 0]
+        return lam[:, 0], x, np.einsum("bij,bj->bi", Pi, x), np.broadcast_to(G, Pi.shape), V
+
+    def slope(self, W: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """lambda_min of S(t), its gradient in W and its t-derivative, per
+        normalized row of W; t is a scalar or one value per row.
+
+        With a = x + t y and b = x - t y, lambda = a.G b, so d lambda/dt =
+        y.(G - G^T) x - 2t y.G y. The direction moves lambda through
+        y = sum_h (V_h.x) V_h against the weight t (G b - G^T a); the
+        direction-frozen q moves it through G (``_gradient``).
+        """
+        lam, x, y, G, V = self._lowest(W, t)
+        t = np.reshape(t, (-1, 1))
+        a, b = x + t * y, x - t * y
+        Gb, aG = np.einsum("bij,bj->bi", G, b), np.einsum("bi,bij->bj", a, G)
+        weight = t * (Gb - aG)
+        blocks = (len(W), self.parts, V.shape[-1], self.m)
+        grad = (np.einsum("bphm,bh->bpm", weight.reshape(blocks), np.einsum("bdh,bd->bh", V, x))
+                + np.einsum("bphm,bh->bpm", x.reshape(blocks), np.einsum("bdh,bd->bh", V, weight)))
+        dt = np.sum(y * Gb, axis=1) - np.sum(aG * y, axis=1)
+        return lam, self._gradient(W, grad.reshape(len(W), -1), a, b), dt
+
+    def _gradient(self, W, grad, a, b):
+        return grad
 
     def witness(self, w: np.ndarray) -> tuple[Witness, np.ndarray, tuple, float]:
         """Witness, normalized direction, exact parabola and value at direction w.
@@ -251,15 +293,11 @@ class _FormProblem:
         a0 = x.Gx, a1 = y.Gx - x.Gy and a2 = -y.Gy.
         """
         W = self._normalize(w[None])
-        G, V = self._operands(W)
-        Pi = V @ V.transpose(0, 2, 1)
-        vals, vecs = np.linalg.eigh(_strong_matrices(G, Pi, self.t)[0])
-        x = vecs[:, 0]
-        y = Pi[0] @ x
-        G = np.broadcast_to(G, Pi.shape)[0]
+        lam, x, y, G, _ = self._lowest(W, self.t)
+        x, y, G = x[0], y[0], G[0]
         Gx, Gy = G @ x, G @ y
         parabola = (float(x @ Gx), float(y @ Gx - x @ Gy), float(-(y @ Gy)))
-        return self._make_witness(x, W[0]), W[0], parabola, float(vals[0])
+        return self._make_witness(x, W[0]), W[0], parabola, float(lam[0])
 
     def thresholds(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(t_lo, t_hi): first t on each side of 0 where S(t) is singular.
@@ -269,7 +307,8 @@ class _FormProblem:
         lemma is singular at t = 1/s for the eigenvalues s of J K, where
         K = U^T S0^-1 U + diag(0, H) = L L^T and J = [[0, I], [I, 0]]; they
         are the eigenvalues of the symmetric L^T J L. Ends beyond +-1 read
-        +-1; a direction whose S0 is not positive definite reads 0.
+        +-1; a direction whose S0 is not positive definite to working
+        precision reads 0.
         """
         G, V = self._operands(self._normalize(W))
         S0, N, Ft, definite = self._split(G)
@@ -315,11 +354,8 @@ class _LHProblem(_FormProblem):
     def __init__(self, A: CoefficientTensor, t: float, parts: int):
         super().__init__(A, t, parts)
         self.dim = parts * A.m + A.n
+        self.splits = (parts * A.m,)
         self.G_blocks = _pairing_matrix(self.entries[:, :, None, None], parts)
-
-    def _normalize(self, W):
-        pm = self.parts * self.m
-        return np.hstack([_normalized(W[:, :pm]), _normalized(W[:, pm:])])
 
     def _operands(self, W):
         pm = self.parts * self.m
@@ -327,48 +363,74 @@ class _LHProblem(_FormProblem):
         return (np.einsum("hkij,Bh,Bk->Bij", self.G_blocks, Q, Q),
                 _direction_basis(W[:, :pm], 1, self.parts, self.m))
 
+    def _gradient(self, W, grad, a, b):
+        """Append the q part (T + T^T) q, T_hk = a.G_hk b."""
+        T = np.einsum("hkij,bi,bj->bhk", self.G_blocks, a, b)
+        T = T + T.transpose(0, 2, 1)
+        return np.hstack([grad, np.einsum("bhk,bk->bh", T, W[:, self.splits[0]:])])
+
     def _make_witness(self, x, w) -> Witness:
         pm = self.parts * self.m
         omega = UnitState(_coords_to_complex(w[:pm], self.parts, self.m))
         return Witness(eta=_coords_to_complex(x, self.parts, self.m), omega=omega, q=w[pm:])
 
 
-def _polish(f, starts: np.ndarray, values: np.ndarray, polish: int):
-    """Nelder-Mead polish of a batched objective f(W) from the ``polish``
-    best starts (``values`` = f(starts)), each row rescaled to unit norm.
-    Returns the best direction, its value and the number of directions
-    evaluated, the starts included."""
-    top = np.argsort(values)[: max(1, polish)]
-    best_w, best_v = starts[top[0]], float(values[top[0]])
-    counter = [starts.shape[0]]
+@dataclass(frozen=True)
+class PolishResult:
+    """Polished rows, their values, the batched steps taken and the rows evaluated."""
 
-    def objective(z):
-        z = np.asarray(z, dtype=float)
-        nrm = np.linalg.norm(z)
-        if not np.isfinite(nrm) or nrm < 1e-12:
-            return 1e300
-        counter[0] += 1
-        return float(f(z[None] / nrm)[0])
-
-    for idx in top:
-        res = minimize(objective, starts[idx], method="Nelder-Mead",
-                       options={"maxiter": REFINE_ITERS, "xatol": 1e-9, "fatol": POLISH_FATOL})
-        if res.fun < best_v:
-            z = np.asarray(res.x, dtype=float)
-            best_w = z / np.linalg.norm(z)
-            best_v = float(res.fun)
-    return best_w, best_v, counter[0]
+    x: np.ndarray
+    fun: np.ndarray
+    nit: int
+    nfev: int
 
 
-def _minimize_directions(problem, cfg: SearchConfig, extra_starts=(),
-                         starts_count=None, polish=3):
+def minimize(problem: _FormProblem, fg, W: np.ndarray) -> PolishResult:
+    """Batched Riemannian gradient descent of fg (values and Euclidean
+    gradients at normalized rows) from every row of W: tangent steps of
+    Barzilai-Borwein length with Armijo backtracking, retracted by
+    ``problem._normalize`` (Absil, Mahony & Sepulchre, 2008). A row stops once
+    an accepted step gains less than 1e-13 relative, once its step
+    underflows, or after POLISH_STEPS steps. Rows never interact, so each
+    ends where it would if polished alone."""
+    x = problem._normalize(np.asarray(W, dtype=float))
+    f, g = fg(x)
+    g = problem._tangent(x, g)
+    step = np.ones(len(x))
+    live = np.arange(len(x))
+    nit, nfev = 0, len(x)
+    while live.size and nit < POLISH_STEPS:
+        nit += 1
+        gg = np.sum(g[live] ** 2, axis=1)
+        trial = problem._normalize(x[live] - step[live, None] * g[live])
+        ft, gt = fg(trial)
+        gt = problem._tangent(trial, gt)
+        nfev += live.size
+        ok = ft <= f[live] - 1e-4 * step[live] * gg
+        done = np.where(ok, f[live] - ft <= 1e-13 * np.abs(ft),
+                        0.5 * step[live] * np.sqrt(gg) < 1e-15)
+        acc = live[ok]
+        s, dg = trial[ok] - x[acc], gt[ok] - g[acc]
+        sy = np.sum(s * dg, axis=1)
+        step[acc] = np.divide(np.sum(s * s, axis=1), sy, out=step[acc], where=sy > 0.0)
+        step[live[~ok]] *= 0.5
+        x[acc], f[acc], g[acc] = trial[ok], ft[ok], gt[ok]
+        live = live[~done]
+    return PolishResult(x=x, fun=f, nit=nit, nfev=nfev)
+
+
+def _minimize_directions(problem, cfg: SearchConfig, extra_starts=()):
     """Margin search over the compact direction set: the margin result, the
-    normalized best direction and the exact parabola at the witness."""
-    starts = np.vstack([_starts(cfg, starts_count or cfg.outer_starts, problem.dim)]
-                       + [np.asarray(w, dtype=float)[None] for w in extra_starts])
-    best_w, _, evals = _polish(problem.values, starts, problem.values(starts), polish)
-    wit, direction, parabola, value = problem.witness(best_w)
-    return MarginResult(value=value, witness=wit, evaluations=evals), direction, parabola
+    normalized best direction and the exact parabola at the witness. The
+    best POLISHED of the seeded starts and every extra start are polished
+    together."""
+    starts = _starts(cfg, cfg.outer_starts, problem.dim)
+    rows = np.vstack([starts[np.argsort(problem.values(starts))[:POLISHED]]]
+                     + [np.asarray(w, dtype=float)[None] for w in extra_starts])
+    res = minimize(problem, lambda W: problem.slope(W, problem.t)[:2], rows)
+    wit, direction, parabola, value = problem.witness(res.x[np.argmin(res.fun)])
+    margin = MarginResult(value=value, witness=wit, evaluations=len(starts) + res.nfev)
+    return margin, direction, parabola
 
 
 def _make_problem(A: CoefficientTensor, kind: str, t: float, field_mode: str):
@@ -398,8 +460,9 @@ def threshold_ends(A: CoefficientTensor, kind: str, cfg: SearchConfig) -> tuple[
     (sup of t_lo), so a miss leaves it too wide. Both sides share one batch
     of 4 * outer_starts starts; if any start reads 0 (the classical t = 0
     condition fails there) both ends are 0. Otherwise each side polishes its
-    own best 4, then restarts Nelder-Mead once from the winner (it stalls at
-    its iteration cap on direction-frozen forms).
+    own best POLISHED starts along the implicit-function gradient of the
+    threshold, -(d lambda/d omega) / (d lambda/dt) at (t*, x); ends at +-1
+    or 0 do not move.
     """
     problem = _make_problem(A, kind, 0.0, cfg.resolve_field(A))
     starts = _starts(cfg, 4 * cfg.outer_starts, problem.dim)
@@ -407,13 +470,17 @@ def threshold_ends(A: CoefficientTensor, kind: str, cfg: SearchConfig) -> tuple[
     if not t_hi.all():
         return 0.0, 0.0
 
-    def search(f, values):
-        w = _polish(f, starts, values, 4)[0]
-        restart = np.vstack([starts[:1], w[None]])
-        return _polish(f, restart, f(restart), 1)[1]
+    def search(side, values):
+        def fg(W):
+            t = problem.thresholds(W)[side]
+            _, grad, dt = problem.slope(W, t)
+            moves = (np.abs(t) < 1.0) & (t != 0.0) & (dt != 0.0)
+            grad = np.where(moves[:, None], -grad / np.where(moves, dt, 1.0)[:, None], 0.0)
+            return (t, grad) if side else (-t, -grad)
 
-    return (-search(lambda W: -problem.thresholds(W)[0], -t_lo),
-            search(lambda W: problem.thresholds(W)[1], t_hi))
+        return float(minimize(problem, fg, starts[np.argsort(values)[:POLISHED]]).fun.min())
+
+    return -search(0, -t_lo), search(1, t_hi)
 
 
 def scalar_p_margin(A: CoefficientTensor, p: float) -> float:
@@ -458,23 +525,14 @@ def pooled_margin(A: CoefficientTensor, kind: str, cfg: SearchConfig, t: float,
                   pool: WitnessPool) -> float:
     """Margin estimate at t that folds in every pooled witness.
 
-    Runs the standard search warm-started from the pool, adds the new
-    witness, and returns the minimum of the search value and the pool
-    envelope (each pooled quadratic is an exact form value, so the envelope
-    only ever tightens the estimate). Once the pool is primed, later calls
-    use fewer fresh starts; accuracy is carried by the shared witnesses.
+    Runs the standard search with every pooled direction as an extra start,
+    adds the new witness, and returns the minimum of the search value and
+    the pool envelope (each pooled quadratic is an exact form value, so the
+    envelope only ever tightens the estimate).
     """
     cfg_t = replace(cfg, t=t)
     problem = _make_problem(A, kind, t, cfg_t.resolve_field(A))
-    if pool.directions:
-        starts_count = max(8, cfg.outer_starts // 4)
-        polish = 1
-    else:
-        starts_count, polish = cfg.outer_starts, 3
-    res, direction, parabola = _minimize_directions(
-        problem, cfg_t, extra_starts=pool.directions,
-        starts_count=starts_count, polish=polish,
-    )
+    res, direction, parabola = _minimize_directions(problem, cfg_t, extra_starts=pool.directions)
     pool.add(direction, parabola)
     return min(res.value, pool.envelope(t))
 

@@ -3,6 +3,10 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +250,14 @@ class TestContracts:
         assert json.dumps(payload1["result"], sort_keys=True) == json.dumps(
             payload2["result"], sort_keys=True
         )
+
+    def test_cli_import_loads_no_scipy(self):
+        code = "import sys, pelliptic.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        src = str(Path(pe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "[]"
 
     def test_bad_p_exit_two(self, capsys, identity_file):
         code, _, err = run_cli(capsys, "check", identity_file, "--p", "1.0")

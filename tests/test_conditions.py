@@ -188,6 +188,15 @@ class TestMargins:
         b = pe.strong_margin(pe.adjoint(A), pe.SearchConfig(t=-t, seed=6))
         assert a.value == pytest.approx(b.value, abs=1e-6)
 
+    def test_lh_margin_matches_oracle_on_every_seed(self):
+        # a (3, 3) tensor whose minimising direction a search from a few of
+        # its starts misses on some seeds
+        A = pe.random_elliptic_tensor(3, 3, "legendre-perturbed", seed=501)
+        oracle = pe.brute_margin(A, 0.40, "lh", pe.OracleConfig())
+        for seed in range(6):
+            got = pe.lh_margin(A, pe.SearchConfig(t=0.40, seed=seed)).value
+            assert got == pytest.approx(oracle, abs=1e-4)
+
     def test_determinism_per_seed(self):
         A = pe.random_elliptic_tensor(2, 2, "hermitian-positive", seed=13)
         cfg = pe.SearchConfig(t=0.3, seed=123)
@@ -251,6 +260,61 @@ class TestThresholds:
                 assert inside > 0.0
                 checked += 1
         assert checked > 0
+
+
+class TestSlope:
+    """slope's value, W-gradient and t-derivative against central
+    differences along tangent directions of the unit blocks."""
+
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    @pytest.mark.parametrize("test_field", ["real", "complex"])
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+    def test_central_differences(self, kind, test_field, n, m):
+        A = pe.random_elliptic_tensor(n, m, "legendre-perturbed", seed=10 * n + m)
+        problem = conditions._make_problem(A, kind, 0.0, test_field)
+        rng = np.random.default_rng(n + m)
+        W = problem._normalize(rng.standard_normal((5, problem.dim)))
+        D = problem._tangent(W, rng.standard_normal(W.shape))
+        t = rng.uniform(-0.6, 0.6, 5)
+        lam, grad, dt = problem.slope(W, t)
+        for i in range(5):
+            at_t = conditions._make_problem(A, kind, t[i], test_field)
+            assert lam[i] == pytest.approx(at_t.values(W[i : i + 1])[0], abs=1e-12)
+
+        def value(W, t):
+            return problem.slope(problem._normalize(W), t)[0]
+
+        h = 1e-6
+        along = (value(W + h * D, t) - value(W - h * D, t)) / (2 * h)
+        np.testing.assert_allclose(np.sum(grad * D, axis=1), along, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(dt, (value(W, t + h) - value(W, t - h)) / (2 * h), rtol=0, atol=1e-7)
+
+
+class TestPolish:
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    def test_batch_size_invariance(self, kind):
+        # rows never interact: polishing 16 together ends each row where
+        # polishing it alone does
+        A = pe.random_elliptic_tensor(3, 3, "legendre-perturbed", seed=501)
+        problem = conditions._make_problem(A, kind, 0.4, "complex")
+        W = conditions._starts(pe.SearchConfig(seed=1), 16, problem.dim)
+
+        def fg(W):
+            return problem.slope(W, problem.t)[:2]
+
+        together = conditions.minimize(problem, fg, W)
+        alone = [conditions.minimize(problem, fg, W[i : i + 1]) for i in range(16)]
+        assert np.array_equal(together.x, np.vstack([r.x for r in alone]))
+        assert np.array_equal(together.fun, np.concatenate([r.fun for r in alone]))
+        assert together.fun.min() == min(r.fun[0] for r in alone)
+        assert together.nit == max(r.nit for r in alone)
+
+    def test_polish_never_raises_a_start(self):
+        A = pe.random_elliptic_tensor(2, 3, "legendre-perturbed", seed=23)
+        problem = conditions._make_problem(A, "lh", -0.3, "complex")
+        W = conditions._starts(pe.SearchConfig(seed=2), 16, problem.dim)
+        res = conditions.minimize(problem, lambda W: problem.slope(W, problem.t)[:2], W)
+        assert np.all(res.fun <= problem.values(W))
 
 
 class TestScalarMargin:

@@ -1,5 +1,6 @@
 """Exponent-interval computation: conversions, threshold ends, duality, fields."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import pelliptic as pe
 from pelliptic import conditions, prange
+from pelliptic.cli import main, tensor_to_json
 from pelliptic.errors import InputError
 
 
@@ -103,13 +105,21 @@ class TestConditionRange:
         assert lh.t_lo <= strong.t_lo + 2e-4
         assert lh.t_hi >= strong.t_hi - 2e-4
 
-    @pytest.mark.parametrize("n,m,seed", [(2, 2, 1), (2, 3, 202), (3, 3, 400)])
-    def test_margin_positive_just_inside_both_ends(self, n, m, seed):
-        A = pe.random_elliptic_tensor(n, m, "hermitian-positive", seed=seed)
-        r = pe.condition_range(A, "strong", pe.SearchConfig(seed=1))
+    @pytest.mark.parametrize("n,m,style,seed,kind,cfg_seed", [
+        pytest.param(2, 2, "hermitian-positive", 1, "strong", 1, id="2-2-1"),
+        pytest.param(2, 3, "hermitian-positive", 202, "strong", 1, id="2-3-202"),
+        pytest.param(3, 3, "hermitian-positive", 400, "strong", 1, id="3-3-400"),
+        # a direction-frozen range that a stalled search left too wide
+        pytest.param(3, 3, "legendre-perturbed", 5142, "lh", 5, id="3-3-5142-lh"),
+    ])
+    def test_margin_positive_just_inside_both_ends(self, n, m, style, seed, kind, cfg_seed):
+        # and negative just outside them
+        A = pe.random_elliptic_tensor(n, m, style, seed=seed)
+        r = pe.condition_range(A, kind, pe.SearchConfig(seed=cfg_seed))
         oracle = pe.OracleConfig()
-        assert pe.brute_margin(A, r.t_hi - 1e-3, "strong", oracle) > 0.0
-        assert pe.brute_margin(A, r.t_lo + 1e-3, "strong", oracle) > 0.0
+        for end, inward in ((r.t_hi, -1e-3), (r.t_lo, 1e-3)):
+            assert pe.brute_margin(A, end + inward, kind, oracle) > 0.0
+            assert pe.brute_margin(A, end - inward, kind, oracle) < 0.0
 
     def test_range_does_not_depend_on_seed(self):
         # a complex tensor whose minimising direction some seeds' starts miss
@@ -165,6 +175,19 @@ class TestEmptyRange:
         assert pe.condition_range(A, kind, cfg).empty
         assert polishes == []
         assert evaluations == [4 * cfg.outer_starts]
+
+    @pytest.mark.parametrize("n,m,seed,gap", [(2, 2, 0, 1e-16), (2, 3, 11, 1e-15), (3, 2, 17, 1e-16)])
+    def test_near_singular_classical_form_reads_empty(self, capsys, tmp_path, n, m, seed, gap):
+        # shifted to within rounding of the classical (t = 0) margin, so S0
+        # is positive definite in exact arithmetic but not to working precision
+        A = pe.random_elliptic_tensor(n, m, "legendre-perturbed", seed=seed)
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps(tensor_to_json(_shifted(A, _exact_strong_margin(A) - gap))))
+        code = main(["range", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out)["result"] == {"empty": True}
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
     @pytest.mark.parametrize("style", ["hermitian-positive", "legendre-perturbed"])
