@@ -281,7 +281,10 @@ def _cmd_solvability(args) -> int:
     if args.theorem == "extrapolation":
         if args.q is None or args.p0 is None:
             raise InputError("extrapolation needs --q and --p0")
-        p0 = math.inf if args.p0 == "inf" else float(args.p0)
+        try:
+            p0 = float(args.p0)
+        except ValueError:
+            raise InputError(f"--p0 must be a number or inf, got {args.p0!r}") from None
         report = extrapolation_range(SolvabilityQuery(n=args.n, q=args.q, p0=p0))
         result = report.as_dict()
     elif args.theorem == "homogenization":

@@ -36,6 +36,13 @@ def _check_moduli(lam: float, mu: float):
         raise InputError(f"need mu > 0 and lam + 2 mu > 0, got lam={lam}, mu={mu}")
 
 
+def _check_samples(lam: np.ndarray, mu: np.ndarray):
+    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(mu))):
+        raise InputError("moduli must be finite")
+    if not (np.all(mu > 0.0) and np.all(lam + 2.0 * mu > 0.0)):
+        raise InputError("every sample needs mu > 0 and lam + 2 mu > 0")
+
+
 @dataclass(frozen=True)
 class LameParams:
     """Constant or sampled moduli; every sample must satisfy mu > 0 and
@@ -50,10 +57,7 @@ class LameParams:
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         if lam.shape != mu.shape:
             raise InputError("lam and mu samples must share a shape")
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(mu))):
-            raise InputError("moduli must be finite")
-        if not (np.all(mu > 0.0) and np.all(lam + 2.0 * mu > 0.0)):
-            raise InputError("every sample needs mu > 0 and lam + 2 mu > 0")
+        _check_samples(lam, mu)
         if self.n < 2:
             raise InputError("dimension must be >= 2")
         object.__setattr__(self, "lam", lam)
@@ -82,7 +86,12 @@ def lame_tensor(lam: float, mu: float, r: float, n: int) -> CoefficientTensor:
 def necessary_constant(n: int, lam: float, mu: float) -> float:
     """Upper bound 1 - ((lam+mu)/(lam+3mu))^2, dimension independent."""
     _check_moduli(lam, mu)
-    return 1.0 - ((lam + mu) / (lam + 3.0 * mu)) ** 2
+    return _upper(lam, mu)
+
+
+def _upper(lam, mu):
+    s = (lam + mu) / (lam + 3.0 * mu)
+    return 1.0 - s * s
 
 
 def cubic_coefficients(n: int, a: float) -> tuple[float, float, float, float]:
@@ -93,7 +102,7 @@ def cubic_coefficients(n: int, a: float) -> tuple[float, float, float, float]:
     c3 = (n - 2.0) / (n - 1.0)
     c2 = 1.0 / (a + 2.0) - a - n / (n - 1.0)
     c1 = -2.0 * (a + 1.0) / (a + 2.0)
-    c0 = (a + 1.0) ** 2 / (a + 2.0)
+    c0 = (a + 1.0) * (a + 1.0) / (a + 2.0)
     return c3, c2, c1, c0
 
 
@@ -113,13 +122,15 @@ def lame_cubic_roots(n: int, lam: float, mu: float) -> tuple[float, float, float
     _check_moduli(lam, mu)
     if n < 3:
         raise InputError("the cubic applies for n >= 3")
-    disc = (lam + mu) ** 2 + 4.0 * mu * (lam + 2.0 * mu) / (n - 1.0)
-    assert disc > 0.0  # guaranteed by mu > 0, lam + 2mu > 0
-    root = math.sqrt(disc)
+    return (-1.0,) + _deflated_roots(n, lam, mu, math.sqrt)
+
+
+def _deflated_roots(n: int, lam, mu, sqrt) -> tuple:
+    """(x_minus, x_plus) for floats (sqrt=math.sqrt) or arrays (np.sqrt);
+    the discriminant is positive whenever mu > 0 and lam + 2mu > 0."""
+    root = sqrt((lam + mu) * (lam + mu) + 4.0 * mu * (lam + 2.0 * mu) / (n - 1.0))
     pref = (n - 1.0) / (2.0 * (n - 2.0)) * (lam + mu) / (mu * (lam + 2.0 * mu))
-    x_minus = pref * ((lam + 3.0 * mu) - root)
-    x_plus = pref * ((lam + 3.0 * mu) + root)
-    return (-1.0, x_minus, x_plus)
+    return pref * ((lam + 3.0 * mu) - root), pref * ((lam + 3.0 * mu) + root)
 
 
 @dataclass(frozen=True)
@@ -135,22 +146,26 @@ class LameSufficiency:
     p_interval: PRange
 
     def __post_init__(self):
-        if not (0.0 <= self.c_lower <= self.c_upper + 1e-12 and self.c_upper <= 1.0 + 1e-12):
-            raise InputError("need 0 <= C_lower <= C_upper <= 1")
+        if not _in_bracket(self.c_lower, self.c_upper):
+            raise InputError(_BRACKET_MESSAGE)
 
 
-def _lh_term(n: int, lam: float, mu: float, gamma: float) -> Optional[float]:
-    """Second branch of the min defining the lower bound; None when the
-    gamma constraints fail."""
-    if n == 2:
-        den = (lam + 2.0 * mu) ** 2
-        return 1.0 - (lam + mu - gamma) ** 2 / den
-    if not gamma < ((n - 1.0) * lam + n * mu) / (n - 2.0):
-        return None
-    den = (lam + 2.0 * mu) * (lam + mu - gamma + (mu + gamma) / (n - 1.0))
-    if den <= (lam + mu - gamma) ** 2:
-        return None
-    return 1.0 - (lam + mu - gamma) ** 2 / den
+_BRACKET_MESSAGE = "need 0 <= C_lower <= C_upper <= 1"
+
+
+def _in_bracket(c_lower, c_upper):
+    """0 <= C_lower <= C_upper <= 1, up to 1e-12; floats or arrays."""
+    return (0.0 <= c_lower) & (c_lower <= c_upper + 1e-12) & (c_upper <= 1.0 + 1e-12)
+
+
+def _lh_parts(n: int, lam, mu, gamma) -> tuple:
+    """(cap, den, s2) of the second branch of the min defining the lower
+    bound at gamma, for n >= 3: the branch is 1 - s2/den, valid only where
+    gamma < cap and den > s2. Floats and arrays alike."""
+    cap = ((n - 1.0) * lam + n * mu) / (n - 2.0)
+    s = lam + mu - gamma
+    den = (lam + 2.0 * mu) * (s + (mu + gamma) / (n - 1.0))
+    return cap, den, s * s
 
 
 def sufficient_constant(n: int, lam: float, mu: float) -> LameSufficiency:
@@ -161,8 +176,10 @@ def sufficient_constant(n: int, lam: float, mu: float) -> LameSufficiency:
     1 - ((lam+mu)/max(mu, lam+2mu))^2 and the cubic-root bound, each valid
     only where its gamma constraints hold. The reported interval is open.
     """
+    if n < 2:
+        raise InputError("dimension must be >= 2")
     _check_moduli(lam, mu)
-    c_upper = necessary_constant(n, lam, mu)
+    c_upper = _upper(lam, mu)
     if n == 2:
         gamma = mu * (lam + mu) / (lam + 3.0 * mu)
         c = c_upper
@@ -171,16 +188,16 @@ def sufficient_constant(n: int, lam: float, mu: float) -> LameSufficiency:
         cands = []
         # limit form of the merged two-case bound (open-interval semantics)
         gamma_dim = mu * (lam + mu) / (lam + 2.0 * mu) if lam + mu >= 0.0 else lam + mu
-        c_dim = 1.0 - ((lam + mu) / max(mu, lam + 2.0 * mu)) ** 2
-        cands.append((c_dim, gamma_dim, "case1" if lam + mu < 0.0 else "dim-independent"))
-        for x in lame_cubic_roots(n, lam, mu)[1:]:
+        s = (lam + mu) / max(mu, lam + 2.0 * mu)
+        cands.append((1.0 - s * s, gamma_dim, "case1" if lam + mu < 0.0 else "dim-independent"))
+        for x in _deflated_roots(n, lam, mu, math.sqrt):
             if abs(x) >= 1.0:
                 continue
             gamma = x * mu
-            lh = _lh_term(n, lam, mu, gamma)
-            if lh is None:
+            cap, den, s2 = _lh_parts(n, lam, mu, gamma)
+            if not (gamma < cap and den > s2):
                 continue
-            cands.append((min(1.0 - x * x, lh), gamma, "cubic"))
+            cands.append((min(1.0 - x * x, 1.0 - s2 / den), gamma, "cubic"))
         c, gamma, branch = max(cands, key=lambda item: item[0])
         c = min(c, c_upper)
     bound = math.sqrt(max(c, 0.0))
@@ -193,6 +210,34 @@ def sufficient_constant(n: int, lam: float, mu: float) -> LameSufficiency:
         branch=branch,
         p_interval=interval,
     )
+
+
+def _c_bounds(n: int, lam, mu) -> tuple[np.ndarray, np.ndarray]:
+    """(C_lower, C_upper) of sufficient_constant for arrays of moduli, with
+    the same operations in the same order, so every element is bit-identical
+    to the scalar path. Candidates whose gamma constraints fail are computed
+    and then masked out. Squares in this module are written as products:
+    Python's float ** calls libm pow, which can differ from x * x in the
+    last bit, and the two paths must agree."""
+    if n < 2:
+        raise InputError("dimension must be >= 2")
+    lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
+    _check_samples(lam, mu)
+    c_upper = _upper(lam, mu)
+    c = c_upper
+    if n > 2:
+        s = (lam + mu) / np.maximum(mu, lam + 2.0 * mu)
+        c = 1.0 - s * s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for x in _deflated_roots(n, lam, mu, np.sqrt):
+                gamma = x * mu
+                cap, den, s2 = _lh_parts(n, lam, mu, gamma)
+                ok = (np.abs(x) < 1.0) & (gamma < cap) & (den > s2)
+                c = np.where(ok, np.maximum(c, np.minimum(1.0 - x * x, 1.0 - s2 / den)), c)
+        c = np.minimum(c, c_upper)
+    if not np.all(_in_bracket(c, c_upper)):
+        raise InputError(_BRACKET_MESSAGE)
+    return c, c_upper
 
 
 @dataclass(frozen=True)

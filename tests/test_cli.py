@@ -187,6 +187,19 @@ class TestSolvability:
         assert payload["result"]["p_lo"] == 2.0
         assert payload["result"]["p_hi"] == pytest.approx(8.0)
 
+    @pytest.mark.parametrize("n, p_up, c_star", [(3, 11.508327389173528, 0.4256591620948892),
+                                                 (4, 8.056326182038829, 0.3939091615845858)])
+    def test_worst_case_pinned(self, capsys, n, p_up, c_star):
+        code, payload, err = run_cli(
+            capsys, "solvability", "--theorem", "lame-corollary", "--n", str(n), "--worst-case",
+        )
+        assert code == 0
+        assert err == ""
+        result = payload["result"]
+        assert result["worst_ratio"] == 3.8278614958841275
+        assert result["p_up"] == p_up
+        assert result["c_star"] == c_star
+
     def test_lame_corollary_worst_case(self, capsys):
         code, payload, _ = run_cli(
             capsys, "solvability", "--theorem", "lame-corollary",
@@ -265,7 +278,8 @@ class TestContracts:
 
     @pytest.mark.parametrize("case", ["no-moduli", "missing-field-file", "no-entries", "bad-n",
                                       "n-overflow", "grid-overflow", "lambda-inf",
-                                      "lambda-field-overflow"])
+                                      "lambda-field-overflow", "p0-text", "q-strong-nan",
+                                      "lame-n1"])
     def test_malformed_input_exit_two(self, capsys, tmp_path, case):
         # json reads 1e400 as inf
         docs = {
@@ -289,6 +303,17 @@ class TestContracts:
             mu.write_text('{"schema": 1, "values": [1.0, 1.0]}')
             argv = ["lame", "--n", "3", "--lambda-field", str(lam), "--mu-field", str(mu)]
             message = "moduli must be finite"
+        elif case == "p0-text":
+            argv = ["solvability", "--theorem", "extrapolation", "--n", "3", "--q", "2",
+                    "--p0", "abc"]
+            message = "--p0"
+        elif case == "q-strong-nan":
+            argv = ["solvability", "--theorem", "homogenization", "--n", "3",
+                    "--q-strong", "nan"]
+            message = "q_strong"
+        elif case == "lame-n1":
+            argv = ["lame", "--n", "1", "--lambda", "1", "--mu", "1"]
+            message = "dimension must be >= 2"
         else:
             path = tmp_path / "doc.json"
             path.write_text(docs[case])
@@ -297,6 +322,7 @@ class TestContracts:
         assert code == 2
         assert payload is None
         assert len(err.strip().splitlines()) == 1
+        assert err.startswith("input error: ")
         assert "Traceback" not in err
         if message is not None:
             assert message in err

@@ -7,7 +7,7 @@ import pytest
 
 import pelliptic as pe
 from pelliptic.errors import InputError
-from pelliptic.lame import cubic_residual, dissipativity_bounds
+from pelliptic.lame import SQRT8, _c_bounds, cubic_residual, dissipativity_bounds
 
 
 def random_admissible(rng, n_choices=(3, 4, 5, 6, 7, 8)):
@@ -98,6 +98,42 @@ class TestSufficientConstant:
             assert abs(s.gamma_star) < mu + 1e-12
             assert s.gamma_star < ((n - 1) * lam + n * mu) / (n - 2) + 1e-12
             assert s.r_star == pytest.approx(mu - s.gamma_star)
+
+
+    def test_dimension_below_two_rejected(self):
+        with pytest.raises(InputError, match="dimension must be >= 2"):
+            pe.sufficient_constant(1, 1.0, 1.0)
+
+
+class TestConstantKernel:
+    """_c_bounds is the array form of sufficient_constant's two constants."""
+
+    @staticmethod
+    def moduli():
+        i = np.arange(1, 10001)
+        grid = (1.0 - SQRT8) + ((1.0 + SQRT8) - (1.0 - SQRT8)) * i / 10001
+        rng = np.random.default_rng(6)
+        mu = 0.3 + 2.0 * rng.random(5000)
+        # lam/mu - (-2) log-uniform in (1e-8, 12.6): near lam + 2 mu = 0 the
+        # cubic root's den > s^2 constraint fails by rounding
+        lam = (-2.0 + 10.0 ** rng.uniform(-8.0, 1.1, 5000)) * mu
+        return [(grid, np.ones_like(grid)), (lam, mu)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_bit_identical_to_scalar_path(self, n):
+        for lam, mu in self.moduli():
+            c_lower, c_upper = _c_bounds(n, lam, mu)
+            reports = [pe.sufficient_constant(n, float(la), float(m)) for la, m in zip(lam, mu)]
+            assert np.array_equal(c_lower, [r.c_lower for r in reports])
+            assert np.array_equal(c_upper, [r.c_upper for r in reports])
+
+    def test_invalid_input_rejected(self):
+        with pytest.raises(InputError, match="dimension must be >= 2"):
+            _c_bounds(1, [1.0], [1.0])
+        with pytest.raises(InputError):
+            _c_bounds(3, [1.0, -2.5], 1.0)
+        with pytest.raises(InputError):
+            _c_bounds(3, [1.0, math.nan], 1.0)
 
 
 class TestNecessaryConstant:
