@@ -346,8 +346,16 @@ def _cmd_falsify(args) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so they exit 2 with one line; the
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pelliptic",
         description="Strengthened-ellipticity margins, exponent ranges and "
                     "solvability arithmetic for second-order elliptic systems.",
@@ -408,9 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -24,8 +24,9 @@ needs a global search: seeded multistart, then one batched gradient polish
 eigenvector (``_FormProblem.slope``). The reported value is therefore an
 upper bound on the true infimum and results carry ``certified=False``. At
 a fixed witness the form is an exact parabola in t, read off the lowest
-eigenvector; the ``WitnessPool`` keeps these parabolas across the t values
-of a ``margin_curve``.
+eigenvector; ``margin_curve`` polishes every t of its grid in one batch,
+refines each t's winner with Newton steps and bounds each point by the
+parabolas of all the grid's witnesses.
 
 The same assembly gives the ends of an admissible interval: per direction
 the first t on each side of 0 where S(t) = S0 + t S1 + t^2 S2 turns
@@ -41,7 +42,7 @@ directions, complex tensors with complex ones (``SearchConfig.test_field``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,6 +60,7 @@ from .tensors import (
 _TEST_FIELDS = ("auto", "complex", "real")
 POLISHED = 16       # best starts each search polishes
 POLISH_STEPS = 300  # step cap per polished row
+NEWTON_STEPS = 4    # step cap of margin_curve's second-order refinement
 
 
 @dataclass(frozen=True)
@@ -223,8 +225,7 @@ class _FormProblem:
     (``splits``) and the witness built from an eigenvector (``_make_witness``).
     """
 
-    def __init__(self, A: CoefficientTensor, t: float, parts: int):
-        self.t = t
+    def __init__(self, A: CoefficientTensor, parts: int):
         self.parts = parts
         self.splits = ()
         self.n, self.m = A.n, A.m
@@ -250,9 +251,11 @@ class _FormProblem:
         Ft = np.swapaxes(Q, -1, -2) / np.sqrt(np.where(lam > 0.0, lam, 1.0))[..., None]
         return S0, 0.5 * (G - Gt), Ft, definite
 
-    def values(self, W: np.ndarray) -> np.ndarray:
+    def values(self, W: np.ndarray, t) -> np.ndarray:
+        """lambda_min of S(t) per row of W; t is a scalar or one value per row."""
         G, V = self._operands(self._normalize(W))
-        return _eigvalsh_batch(_strong_matrices(G, V @ V.transpose(0, 2, 1), self.t))[:, 0]
+        Pi = V @ V.transpose(0, 2, 1)
+        return _eigvalsh_batch(_strong_matrices(G, Pi, np.reshape(t, (-1, 1, 1))))[:, 0]
 
     def _lowest(self, W: np.ndarray, t):
         """lambda_min of S(t), its eigenvector x, y = Pi x, G and V per normalized row."""
@@ -285,19 +288,19 @@ class _FormProblem:
     def _gradient(self, W, grad, a, b):
         return grad
 
-    def witness(self, w: np.ndarray) -> tuple[Witness, np.ndarray, tuple, float]:
-        """Witness, normalized direction, exact parabola and value at direction w.
+    def witness(self, w: np.ndarray, t) -> tuple[Witness, tuple, float]:
+        """Witness, exact parabola and lambda_min of S(t) at direction w.
 
         With x the lowest eigenvector of S(t) and y = Pi x, the form value at
         the frozen witness is a0 + a1 s + a2 s^2 for every s, where
         a0 = x.Gx, a1 = y.Gx - x.Gy and a2 = -y.Gy.
         """
         W = self._normalize(w[None])
-        lam, x, y, G, _ = self._lowest(W, self.t)
+        lam, x, y, G, _ = self._lowest(W, t)
         x, y, G = x[0], y[0], G[0]
         Gx, Gy = G @ x, G @ y
         parabola = (float(x @ Gx), float(y @ Gx - x @ Gy), float(-(y @ Gy)))
-        return self._make_witness(x, W[0]), W[0], parabola, float(lam[0])
+        return self._make_witness(x, W[0]), parabola, float(lam[0])
 
     def thresholds(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(t_lo, t_hi): first t on each side of 0 where S(t) is singular.
@@ -327,8 +330,8 @@ class _FormProblem:
 class _StrongProblem(_FormProblem):
     """Strong form: a candidate is the coordinate vector of omega."""
 
-    def __init__(self, A: CoefficientTensor, t: float, parts: int):
-        super().__init__(A, t, parts)
+    def __init__(self, A: CoefficientTensor, parts: int):
+        super().__init__(A, parts)
         self.dim = parts * A.m
         self.G = _pairing_matrix(self.entries, parts)
         self._G_split = super()._split(self.G)
@@ -351,8 +354,8 @@ class _LHProblem(_FormProblem):
     M_q = sum_hk A[h,k] q_h q_k with a single direction index, assembled
     as sum_hk q_h q_k G_hk from the pairings G_hk of the blocks A[h,k]."""
 
-    def __init__(self, A: CoefficientTensor, t: float, parts: int):
-        super().__init__(A, t, parts)
+    def __init__(self, A: CoefficientTensor, parts: int):
+        super().__init__(A, parts)
         self.dim = parts * A.m + A.n
         self.splits = (parts * A.m,)
         self.G_blocks = _pairing_matrix(self.entries[:, :, None, None], parts)
@@ -386,24 +389,25 @@ class PolishResult:
 
 
 def minimize(problem: _FormProblem, fg, W: np.ndarray) -> PolishResult:
-    """Batched Riemannian gradient descent of fg (values and Euclidean
-    gradients at normalized rows) from every row of W: tangent steps of
-    Barzilai-Borwein length with Armijo backtracking, retracted by
-    ``problem._normalize`` (Absil, Mahony & Sepulchre, 2008). A row stops once
-    an accepted step gains less than 1e-13 relative, once its step
-    underflows, or after POLISH_STEPS steps. Rows never interact, so each
-    ends where it would if polished alone."""
+    """Batched Riemannian gradient descent from every row of W: tangent
+    steps of Barzilai-Borwein length with Armijo backtracking, retracted by
+    ``problem._normalize`` (Absil, Mahony & Sepulchre, 2008). fg(X, rows)
+    gives the values and Euclidean gradients at the normalized rows X, which
+    are the rows ``rows`` (indices into W) of the batch, so a row may carry
+    its own t. A row stops once an accepted step gains less than 1e-13
+    relative, once its step underflows, or after POLISH_STEPS steps. Rows
+    never interact, so each ends where it would if polished alone."""
     x = problem._normalize(np.asarray(W, dtype=float))
-    f, g = fg(x)
+    live = np.arange(len(x))
+    f, g = fg(x, live)
     g = problem._tangent(x, g)
     step = np.ones(len(x))
-    live = np.arange(len(x))
     nit, nfev = 0, len(x)
     while live.size and nit < POLISH_STEPS:
         nit += 1
         gg = np.sum(g[live] ** 2, axis=1)
         trial = problem._normalize(x[live] - step[live, None] * g[live])
-        ft, gt = fg(trial)
+        ft, gt = fg(trial, live)
         gt = problem._tangent(trial, gt)
         nfev += live.size
         ok = ft <= f[live] - 1e-4 * step[live] * gg
@@ -419,39 +423,93 @@ def minimize(problem: _FormProblem, fg, W: np.ndarray) -> PolishResult:
     return PolishResult(x=x, fun=f, nit=nit, nfev=nfev)
 
 
-def _minimize_directions(problem, cfg: SearchConfig, extra_starts=()):
-    """Margin search over the compact direction set: the margin result, the
-    normalized best direction and the exact parabola at the witness. The
-    best POLISHED of the seeded starts and every extra start are polished
-    together."""
+def _search(problem: _FormProblem, cfg: SearchConfig, ts, extra_starts=()):
+    """Margin search at every t of ts over the compact direction set: each t
+    ranks the seeded starts and polishes its best POLISHED plus every extra
+    start, all in one ``minimize`` with one t per row. Returns each t's best
+    polished row and the directions evaluated."""
+    ts = np.asarray(ts, dtype=float)
     starts = _starts(cfg, cfg.outer_starts, problem.dim)
-    rows = np.vstack([starts[np.argsort(problem.values(starts))[:POLISHED]]]
-                     + [np.asarray(w, dtype=float)[None] for w in extra_starts])
-    res = minimize(problem, lambda W: problem.slope(W, problem.t)[:2], rows)
-    wit, direction, parabola, value = problem.witness(res.x[np.argmin(res.fun)])
-    margin = MarginResult(value=value, witness=wit, evaluations=len(starts) + res.nfev)
-    return margin, direction, parabola
+    ranked = problem.values(np.tile(starts, (len(ts), 1)), np.repeat(ts, len(starts)))
+    best = starts[np.argsort(ranked.reshape(len(ts), -1), axis=1)[:, :POLISHED]]
+    extra = np.reshape(np.asarray(extra_starts, dtype=float), (1, -1, problem.dim))
+    rows = np.concatenate([best, np.broadcast_to(extra, (len(ts), *extra.shape[1:]))], axis=1)
+    row_t = np.repeat(ts, rows.shape[1])
+    res = minimize(problem, lambda W, live: problem.slope(W, row_t[live])[:2],
+                   rows.reshape(-1, problem.dim))
+    fun = res.fun.reshape(rows.shape[:2])
+    winners = res.x.reshape(rows.shape)[np.arange(len(ts)), np.argmin(fun, axis=1)]
+    return winners, ranked.size + res.nfev
 
 
-def _make_problem(A: CoefficientTensor, kind: str, t: float, field_mode: str):
+def _minimize_directions(problem, cfg: SearchConfig, extra_starts=()) -> MarginResult:
+    """Margin search at cfg.t: ``_search`` on the one-point grid."""
+    winners, evaluations = _search(problem, cfg, [cfg.t], extra_starts)
+    wit, _, value = problem.witness(winners[0], cfg.t)
+    return MarginResult(value=value, witness=wit, evaluations=evaluations)
+
+
+def _newton(problem: _FormProblem, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Rows x refined at their t by up to NEWTON_STEPS Newton steps in an
+    orthonormal basis of the tangent space of the unit blocks, with a
+    central-difference Hessian of ``values`` (step 1e-4) whose eigenvalues
+    are taken in absolute value and floored at 1e-10. A row moves to the
+    best of the step and its halvings if that gains more than 1e-13
+    relative, judged by lambda_min as ``witness`` computes it, so no row's
+    witness value rises, even where it is near 0; the refinement ends once
+    no row moves. It finishes rows that the first-order polish leaves
+    unconverged, as where lambda_min is nearly double (complex LH forms
+    near t = 0)."""
+    owner = np.repeat(np.arange(len(problem.splits) + 1), np.diff([0, *problem.splits, problem.dim]))
+    normal = owner[:, None] == np.unique(owner)
+    h, scales, rows = 1e-4, 0.5 ** np.arange(12), np.arange(len(x))
+
+    def value(X, t):
+        return problem._lowest(problem._normalize(X), t)[0]
+
+    f = value(x, ts)
+    for _ in range(NEWTON_STEPS):
+        B = np.linalg.qr(x[:, :, None] * normal, mode="complete")[0][:, :, normal.shape[1]:]
+        k = B.shape[-1]
+        E = h * np.stack([np.eye(k), -np.eye(k)])
+        probes = x[:, None, None, None, None] + np.einsum(
+            "bdk,stijk->bstijd", B, E[:, None, :, None] + E[None, :, None, :])
+        fp = problem.values(probes.reshape(-1, problem.dim), np.repeat(ts, 4 * k * k))
+        fp = fp.reshape(len(x), 2, 2, k, k)
+        ev, U = np.linalg.eigh((fp[:, 0, 0] - fp[:, 0, 1] - fp[:, 1, 0] + fp[:, 1, 1]) / (4 * h * h))
+        BU = B @ U
+        g = np.einsum("bdk,bd->bk", BU, problem.slope(x, ts)[1]) / np.maximum(np.abs(ev), 1e-10)
+        trial = x[:, None] - scales[:, None] * np.einsum("bdk,bk->bd", BU, g)[:, None]
+        trial = problem._normalize(trial.reshape(-1, problem.dim)).reshape(trial.shape)
+        ft = value(trial.reshape(-1, problem.dim), np.repeat(ts, len(scales)))
+        j = np.argmin(ft.reshape(len(x), -1), axis=1)
+        best, ft = trial[rows, j], ft.reshape(len(x), -1)[rows, j]
+        lower = ft < f - 1e-13 * np.abs(f)
+        if not lower.any():
+            break
+        x[lower], f[lower] = best[lower], ft[lower]
+    return x
+
+
+def _make_problem(A: CoefficientTensor, kind: str, field_mode: str):
     parts = 1 if field_mode == "real" else 2
     if kind == "strong":
-        return _StrongProblem(A, t, parts)
+        return _StrongProblem(A, parts)
     if kind in ("lh", "legendre-hadamard"):
-        return _LHProblem(A, t, parts)
+        return _LHProblem(A, parts)
     raise InputError(f"unknown condition kind: {kind}")
 
 
 def strong_margin(A: CoefficientTensor, cfg: SearchConfig, extra_starts=()) -> MarginResult:
     """Estimated inf over unit (xi, omega) of the strong form at cfg.t."""
-    problem = _make_problem(A, "strong", cfg.t, cfg.resolve_field(A))
-    return _minimize_directions(problem, cfg, extra_starts)[0]
+    problem = _make_problem(A, "strong", cfg.resolve_field(A))
+    return _minimize_directions(problem, cfg, extra_starts)
 
 
 def lh_margin(A: CoefficientTensor, cfg: SearchConfig, extra_starts=()) -> MarginResult:
     """Estimated inf over unit (eta, omega, q) of the direction-frozen form."""
-    problem = _make_problem(A, "lh", cfg.t, cfg.resolve_field(A))
-    return _minimize_directions(problem, cfg, extra_starts)[0]
+    problem = _make_problem(A, "lh", cfg.resolve_field(A))
+    return _minimize_directions(problem, cfg, extra_starts)
 
 
 def threshold_ends(A: CoefficientTensor, kind: str, cfg: SearchConfig) -> tuple[float, float]:
@@ -464,14 +522,14 @@ def threshold_ends(A: CoefficientTensor, kind: str, cfg: SearchConfig) -> tuple[
     threshold, -(d lambda/d omega) / (d lambda/dt) at (t*, x); ends at +-1
     or 0 do not move.
     """
-    problem = _make_problem(A, kind, 0.0, cfg.resolve_field(A))
+    problem = _make_problem(A, kind, cfg.resolve_field(A))
     starts = _starts(cfg, 4 * cfg.outer_starts, problem.dim)
     t_lo, t_hi = problem.thresholds(starts)
     if not t_hi.all():
         return 0.0, 0.0
 
     def search(side, values):
-        def fg(W):
+        def fg(W, rows):
             t = problem.thresholds(W)[side]
             _, grad, dt = problem.slope(W, t)
             moves = (np.abs(t) < 1.0) & (t != 0.0) & (dt != 0.0)
@@ -502,51 +560,26 @@ def scalar_p_margin(A: CoefficientTensor, p: float) -> float:
     return float(_eigvalsh_batch(S[None])[0, 0])
 
 
-@dataclass
-class WitnessPool:
-    """Witnesses accumulated across t values; each contributes an exact
-    quadratic t -> form value, a certified upper bound on the margin curve."""
-
-    quadratics: list = field(default_factory=list)   # (a0, a1, a2) triples
-    directions: list = field(default_factory=list)   # direction coords for warm starts
-
-    def add(self, direction: np.ndarray, parabola: tuple[float, float, float]):
-        self.quadratics.append(parabola)
-        self.directions.append(direction)
-
-    def envelope(self, t: float) -> float:
-        if not self.quadratics:
-            return np.inf
-        coeffs = np.asarray(self.quadratics)
-        return float(np.min(coeffs[:, 0] + coeffs[:, 1] * t + coeffs[:, 2] * t * t))
-
-
-def pooled_margin(A: CoefficientTensor, kind: str, cfg: SearchConfig, t: float,
-                  pool: WitnessPool) -> float:
-    """Margin estimate at t that folds in every pooled witness.
-
-    Runs the standard search with every pooled direction as an extra start,
-    adds the new witness, and returns the minimum of the search value and
-    the pool envelope (each pooled quadratic is an exact form value, so the
-    envelope only ever tightens the estimate).
-    """
-    cfg_t = replace(cfg, t=t)
-    problem = _make_problem(A, kind, t, cfg_t.resolve_field(A))
-    res, direction, parabola = _minimize_directions(problem, cfg_t, extra_starts=pool.directions)
-    pool.add(direction, parabola)
-    return min(res.value, pool.envelope(t))
-
-
 def margin_curve(A: CoefficientTensor, ts, kind: str = "strong",
                  cfg: SearchConfig = SearchConfig()) -> np.ndarray:
-    """Margin estimates on a t-grid with witnesses shared across the grid.
+    """Margin estimates on a t-grid (cfg.t is not used), searched in one batch.
 
-    Sharing makes the returned curve a pointwise minimum of exact concave
-    quadratics whenever the tensor is Legendre-positive on projected states,
-    hence concave.
+    ``_search`` polishes at every t the rows strong_margin / lh_margin would
+    polish there, all in one ``minimize``, and ``_newton`` then refines each
+    t's winner, so no point is above the single-t search value. Each point
+    is the minimum of its value and of the exact parabolas at every t's
+    winner, so the curve is a pointwise minimum of concave quadratics (hence
+    concave) whenever the tensor is Legendre-positive on projected states.
     """
     ts = np.asarray(ts, dtype=float)
-    pool = WitnessPool()
-    raw = np.array([pooled_margin(A, kind, cfg, float(t), pool) for t in ts])
-    env = np.array([pool.envelope(float(t)) for t in ts])
-    return np.minimum(raw, env)
+    outside = ~((-1.0 < ts) & (ts < 1.0))
+    if outside.any():
+        raise InputError(f"t must lie in (-1, 1), got {ts[outside][0]}")
+    if not ts.size:
+        return np.empty(0)
+    problem = _make_problem(A, kind, cfg.resolve_field(A))
+    winners = _newton(problem, _search(problem, cfg, ts)[0], ts)
+    parabolas, values = zip(*(problem.witness(w, t)[1:] for w, t in zip(winners, ts)))
+    a0, a1, a2 = np.asarray(parabolas).T
+    t = ts[:, None]
+    return np.minimum(values, np.min(a0 + a1 * t + a2 * t * t, axis=1))

@@ -127,10 +127,12 @@ def lame_cubic_roots(n: int, lam: float, mu: float) -> tuple[float, float, float
 
 def _deflated_roots(n: int, lam, mu, sqrt) -> tuple:
     """(x_minus, x_plus) for floats (sqrt=math.sqrt) or arrays (np.sqrt);
-    the discriminant is positive whenever mu > 0 and lam + 2mu > 0."""
+    the discriminant is positive whenever mu > 0 and lam + 2mu > 0. x_minus
+    uses Vieta's form 2(lam+mu) / ((lam+3mu) + root), since pref * ((lam+3mu)
+    - root) cancels catastrophically as lam + 2mu -> 0."""
     root = sqrt((lam + mu) * (lam + mu) + 4.0 * mu * (lam + 2.0 * mu) / (n - 1.0))
     pref = (n - 1.0) / (2.0 * (n - 2.0)) * (lam + mu) / (mu * (lam + 2.0 * mu))
-    return pref * ((lam + 3.0 * mu) - root), pref * ((lam + 3.0 * mu) + root)
+    return 2.0 * (lam + mu) / ((lam + 3.0 * mu) + root), pref * ((lam + 3.0 * mu) + root)
 
 
 @dataclass(frozen=True)

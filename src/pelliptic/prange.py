@@ -16,12 +16,15 @@ import math
 from dataclasses import dataclass
 
 from .conditions import SearchConfig, threshold_ends
-from .conditions import pooled_margin  # noqa: F401  (wrapped by name in perfbench/trace.py)
 from .errors import InputError
 from .runtime import parallel_map
 from .tensors import CoefficientTensor, TensorField, adjoint
 
 T_TOL = 1e-4   # ends this close to +-1 are reported as +-1 (p = 1 or inf)
+
+# Placeholder for a deleted search that perfbench/trace.py still wraps by
+# name (its three metrics read 0); ROADMAP item 1 retires it with the tracer.
+pooled_margin = None
 
 
 def t_of_p(p: float) -> float:

@@ -279,7 +279,7 @@ class TestContracts:
     @pytest.mark.parametrize("case", ["no-moduli", "missing-field-file", "no-entries", "bad-n",
                                       "n-overflow", "grid-overflow", "lambda-inf",
                                       "lambda-field-overflow", "p0-text", "q-strong-nan",
-                                      "lame-n1"])
+                                      "lame-n1", "p0-minus-inf", "q-strong-minus-inf"])
     def test_malformed_input_exit_two(self, capsys, tmp_path, case):
         # json reads 1e400 as inf
         docs = {
@@ -311,6 +311,15 @@ class TestContracts:
             argv = ["solvability", "--theorem", "homogenization", "--n", "3",
                     "--q-strong", "nan"]
             message = "q_strong"
+        elif case == "p0-minus-inf":
+            # argparse reads -inf as an option, so --p0 has no value
+            argv = ["solvability", "--theorem", "extrapolation", "--n", "3", "--q", "2",
+                    "--p0", "-inf"]
+            message = "--p0"
+        elif case == "q-strong-minus-inf":
+            argv = ["solvability", "--theorem", "homogenization", "--n", "3",
+                    "--q-strong", "-inf"]
+            message = "--q-strong"
         elif case == "lame-n1":
             argv = ["lame", "--n", "1", "--lambda", "1", "--mu", "1"]
             message = "dimension must be >= 2"

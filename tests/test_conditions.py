@@ -206,28 +206,28 @@ class TestMargins:
 
 
 class TestPoolParabola:
-    """The pool's parabola, read off the search's own eigenvector, is the
-    exact form value at the search's witness for every t."""
+    """The parabola read off a search's own eigenvector (``witness``; the
+    envelope of margin_curve pools these over its grid) is the exact form
+    value at the search's witness for every t."""
 
     @pytest.mark.parametrize("kind", ["strong", "lh"])
     @pytest.mark.parametrize("test_field", ["real", "complex"])
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
     def test_parabola_is_form_value_at_witness(self, monkeypatch, kind, test_field, n, m):
-        witnesses = []
-        search = conditions._minimize_directions
+        found = []
+        witness = conditions._FormProblem.witness
 
-        def recording_search(*args, **kwargs):
-            out = search(*args, **kwargs)
-            witnesses.append(out[0].witness)
+        def recording_witness(self, w, t):
+            out = witness(self, w, t)
+            found.append(out)
             return out
 
-        monkeypatch.setattr(conditions, "_minimize_directions", recording_search)
+        monkeypatch.setattr(conditions._FormProblem, "witness", recording_witness)
         A = pe.random_elliptic_tensor(n, m, "legendre-perturbed", seed=10 * n + m)
-        pool = conditions.WitnessPool()
-        cfg = pe.SearchConfig(seed=3, test_field=test_field)
-        conditions.pooled_margin(A, kind, cfg, 0.3, pool)
-        (wit,) = witnesses
-        ((a0, a1, a2),) = pool.quadratics
+        cfg = pe.SearchConfig(t=0.3, seed=3, test_field=test_field)
+        margin = (pe.strong_margin if kind == "strong" else pe.lh_margin)(A, cfg)
+        ((wit, (a0, a1, a2), value),) = found
+        assert (wit, value) == (margin.witness, margin.value)
         for t in (-0.7, 0.0, 0.5):
             if kind == "strong":
                 expected = pe.strong_form_value(A, t, wit.xi, wit.omega)
@@ -245,7 +245,7 @@ class TestThresholds:
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
     def test_smallest_eigenvalue_vanishes_at_threshold(self, kind, test_field, n, m):
         A = pe.random_elliptic_tensor(n, m, "legendre-perturbed", seed=10 * n + m)
-        problem = conditions._make_problem(A, kind, 0.0, test_field)
+        problem = conditions._make_problem(A, kind, test_field)
         W = np.random.default_rng(n + m).standard_normal((6, problem.dim))
         t_lo, t_hi = problem.thresholds(W)
         assert np.all(t_lo < 0.0) and np.all(t_hi > 0.0)
@@ -254,8 +254,8 @@ class TestThresholds:
             for t in (t_lo[i], t_hi[i]):
                 if abs(t) == 1.0:
                     continue
-                at = conditions._make_problem(A, kind, t, test_field).values(W[i : i + 1])[0]
-                inside = conditions._make_problem(A, kind, 0.999 * t, test_field).values(W[i : i + 1])[0]
+                at = problem.values(W[i : i + 1], t)[0]
+                inside = problem.values(W[i : i + 1], 0.999 * t)[0]
                 assert at == pytest.approx(0.0, abs=1e-10)
                 assert inside > 0.0
                 checked += 1
@@ -271,15 +271,16 @@ class TestSlope:
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
     def test_central_differences(self, kind, test_field, n, m):
         A = pe.random_elliptic_tensor(n, m, "legendre-perturbed", seed=10 * n + m)
-        problem = conditions._make_problem(A, kind, 0.0, test_field)
+        problem = conditions._make_problem(A, kind, test_field)
         rng = np.random.default_rng(n + m)
         W = problem._normalize(rng.standard_normal((5, problem.dim)))
         D = problem._tangent(W, rng.standard_normal(W.shape))
         t = rng.uniform(-0.6, 0.6, 5)
         lam, grad, dt = problem.slope(W, t)
+        per_row = problem.values(W, t)
         for i in range(5):
-            at_t = conditions._make_problem(A, kind, t[i], test_field)
-            assert lam[i] == pytest.approx(at_t.values(W[i : i + 1])[0], abs=1e-12)
+            assert per_row[i] == problem.values(W[i : i + 1], t[i])[0]
+        np.testing.assert_allclose(lam, per_row, rtol=0, atol=1e-12)
 
         def value(W, t):
             return problem.slope(problem._normalize(W), t)[0]
@@ -296,11 +297,11 @@ class TestPolish:
         # rows never interact: polishing 16 together ends each row where
         # polishing it alone does
         A = pe.random_elliptic_tensor(3, 3, "legendre-perturbed", seed=501)
-        problem = conditions._make_problem(A, kind, 0.4, "complex")
+        problem = conditions._make_problem(A, kind, "complex")
         W = conditions._starts(pe.SearchConfig(seed=1), 16, problem.dim)
 
-        def fg(W):
-            return problem.slope(W, problem.t)[:2]
+        def fg(W, rows):
+            return problem.slope(W, 0.4)[:2]
 
         together = conditions.minimize(problem, fg, W)
         alone = [conditions.minimize(problem, fg, W[i : i + 1]) for i in range(16)]
@@ -311,10 +312,24 @@ class TestPolish:
 
     def test_polish_never_raises_a_start(self):
         A = pe.random_elliptic_tensor(2, 3, "legendre-perturbed", seed=23)
-        problem = conditions._make_problem(A, "lh", -0.3, "complex")
+        problem = conditions._make_problem(A, "lh", "complex")
         W = conditions._starts(pe.SearchConfig(seed=2), 16, problem.dim)
-        res = conditions.minimize(problem, lambda W: problem.slope(W, problem.t)[:2], W)
-        assert np.all(res.fun <= problem.values(W))
+        res = conditions.minimize(problem, lambda W, rows: problem.slope(W, -0.3)[:2], W)
+        assert np.all(res.fun <= problem.values(W, -0.3))
+
+
+    def test_newton_lowers_rows_independently(self):
+        # near t = 0 the polish leaves these LH rows up to ~3e-6 above their
+        # minimum; each refined row ends where it would alone, and lower
+        A = pe.random_elliptic_tensor(3, 3, "hermitian-positive", seed=1046)
+        problem = conditions._make_problem(A, "lh", "complex")
+        ts = np.linspace(-0.06, 0.06, 7)
+        W, _ = conditions._search(problem, pe.SearchConfig(seed=7), ts)
+        together = conditions._newton(problem, W.copy(), ts)
+        alone = [conditions._newton(problem, W[i : i + 1].copy(), ts[i : i + 1]) for i in range(7)]
+        assert np.array_equal(together, np.vstack(alone))
+        gain = problem.values(W, ts) - problem.values(together, ts)
+        assert np.all(gain >= 0.0) and gain.max() > 1e-6
 
 
 class TestScalarMargin:

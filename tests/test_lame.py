@@ -1,5 +1,6 @@
 """Elasticity tensors, admissibility constants, the rewrite cubic, scans."""
 
+import decimal
 import math
 
 import numpy as np
@@ -172,6 +173,21 @@ class TestCubic:
             a = lam / mu
             for x in pe.lame_cubic_roots(n, lam, mu):
                 assert cubic_residual(n, a, x) <= 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4, 10])
+    @pytest.mark.parametrize("mu", [1.0, 0.3400210872690436])
+    def test_x_minus_stable_near_lam_plus_two_mu_zero(self, n, mu):
+        # the textbook form pref * ((lam + 3mu) - root) cancels as
+        # lam + 2mu -> 0; compare with 50 digits of that same form
+        for k in range(4, 10):
+            lam = -2.0 * mu + 10.0 ** -k * mu
+            with decimal.localcontext(decimal.Context(prec=50)):
+                L, M = decimal.Decimal(lam), decimal.Decimal(mu)
+                root = ((L + M) * (L + M) + 4 * M * (L + 2 * M) / (n - 1)).sqrt()
+                pref = (n - 1) * (L + M) / (2 * (n - 2) * M * (L + 2 * M))
+                exact = float(pref * ((L + 3 * M) - root))
+            x_minus = pe.lame_cubic_roots(n, lam, mu)[1]
+            assert x_minus == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_cross_identity_with_sufficient_constant(self):
         s = pe.sufficient_constant(3, 1.0, 1.0)

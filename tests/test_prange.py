@@ -227,6 +227,68 @@ class TestMarginCurve:
             i, j = np.argmax(positive), len(positive) - 1 - np.argmax(positive[::-1])
             assert positive[i : j + 1].all()
 
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    @pytest.mark.parametrize("test_field", ["real", "complex"])
+    def test_below_single_t_searches_and_concave(self, kind, test_field):
+        # each point polishes the rows the single-t search polishes, and the
+        # refinement and the envelope can only lower it, also at the range
+        # ends, where the margin is ~1e-16
+        A = pe.random_elliptic_tensor(3, 2, "legendre-perturbed", seed=7)
+        cfg = pe.SearchConfig(seed=6, test_field=test_field)
+        r = pe.condition_range(A, kind, cfg)
+        assert -1.0 < r.t_lo and r.t_hi < 1.0
+        ts = np.linspace(r.t_lo, r.t_hi, 17)
+        curve = pe.margin_curve(A, ts, kind, cfg)
+        search = pe.strong_margin if kind == "strong" else pe.lh_margin
+        single = np.array([search(A, pe.SearchConfig(t=t, seed=6, test_field=test_field)).value
+                           for t in ts])
+        assert np.all(curve <= single)
+        assert np.all(curve[1:-1] >= 0.5 * (curve[:-2] + curve[2:]) - 1e-6)
+        assert np.array_equal(curve, pe.margin_curve(A, ts, kind, cfg))
+
+    def test_lh_points_near_zero_converge(self):
+        # near t = 0 lambda_min of this complex direction-frozen form is
+        # nearly double, and the first-order polish stops at POLISH_STEPS
+        # 5.8e-7 above the minimum; the curve must reach the value that
+        # sequential warm starts across the grid reached, 0.2228934792798818
+        A = pe.random_elliptic_tensor(3, 3, "hermitian-positive", seed=1046)
+        cfg = pe.SearchConfig(seed=7)
+        r = pe.condition_range(A, "lh", cfg)
+        ts = np.linspace(r.t_lo, r.t_hi, 41)
+        curve = pe.margin_curve(A, ts, "lh", cfg)
+        single = pe.lh_margin(A, pe.SearchConfig(t=ts[19], seed=7)).value
+        assert single - curve[19] > 5e-7
+        assert curve[19] <= 0.2228934792798818 + 1e-12
+
+    def test_below_every_witness_parabola(self, monkeypatch):
+        # on this curve the envelope of the other points' parabolas lowers
+        # some points (by ~1e-14)
+        parabolas = []
+        witness = conditions._FormProblem.witness
+
+        def recording_witness(self, w, t):
+            out = witness(self, w, t)
+            parabolas.append(out[1])
+            return out
+
+        monkeypatch.setattr(conditions._FormProblem, "witness", recording_witness)
+        A = pe.random_elliptic_tensor(3, 3, "hermitian-positive", seed=1006)
+        cfg = pe.SearchConfig(seed=7)
+        r = pe.condition_range(A, "lh", cfg)
+        ts = np.linspace(r.t_lo, r.t_hi, 41)
+        curve = pe.margin_curve(A, ts, "lh", cfg)
+        assert len(parabolas) == len(ts)
+        for a0, a1, a2 in parabolas:
+            assert np.all(curve <= a0 + a1 * ts + a2 * ts * ts)
+
+    def test_t_outside_rejected_and_empty_grid(self):
+        A = pe.random_elliptic_tensor(2, 2, "legendre-perturbed", seed=7)
+        for ts in ([0.0, 1.0], [-1.0], [0.2, np.nan]):
+            with pytest.raises(InputError):
+                pe.margin_curve(A, ts)
+        empty = pe.margin_curve(A, [])
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
 
 class TestFieldRange:
     def test_constant_field_delegates(self):

@@ -149,11 +149,12 @@ class TestWorstRatioScan:
 
     @pytest.mark.parametrize("block", [None, 99])
     def test_tie_goes_to_smaller_ratio(self, monkeypatch, block):
-        # 100 points within 1e-12 of the upper end: p_up rounds to the same
-        # minimum at two ratios; a block of 99 puts them in different blocks
+        # 100 points within 5e-14 of the upper end: p_up rounds to the same
+        # minimum at the last two ratios; a block of 99 puts them in
+        # different blocks
         if block is not None:
             monkeypatch.setattr(solvability, "_SCAN_BLOCK", block)
-        a_lo, g = self.A_HI - 1e-12, 100
+        a_lo, g = self.A_HI - 5e-14, 100
         p_ups = []
         for i in range(1, g + 1):
             c = pe.sufficient_constant(3, a_lo + (self.A_HI - a_lo) * i / (g + 1), 1.0).c_lower
