@@ -24,7 +24,7 @@ from . import __version__
 from .conditions import SearchConfig, lh_margin, scalar_p_margin, strong_margin
 from .errors import InputError, NumericalFailureError, PellipticError
 from .integral import falsify_integral
-from .lame import admissibility, sufficient_constant
+from .lame import _c_bounds, admissibility, sufficient_constant
 from .prange import condition_range, field_range, t_of_p
 from .solvability import (
     SolvabilityQuery,
@@ -102,17 +102,14 @@ def _parse_document(doc: dict) -> TensorField:
     samples = doc.get("samples")
     if samples is None:
         raise InputError("field document needs a samples list")
+    body = np.asarray(samples, dtype=float)
     count = int(np.prod(grid))
-    if len(samples) != count:
-        raise InputError(f"expected {count} samples, got {len(samples)}")
-    arrs = []
-    for node in samples:
-        entries = _entries_from_json(node)
-        if entries.shape != (n, n, m, m):
-            raise InputError("sample tensor does not match n, m")
-        arrs.append(entries)
-    stacked = np.stack(arrs).reshape(grid + (n, n, m, m))
-    return TensorField(stacked, grid, periodic=bool(doc.get("periodic", False)))
+    if body.shape != (count, n, n, m, m, 2):
+        raise InputError(f"expected {count} samples of [h][k][alpha][beta] -> [re, im] with "
+                         f"n={n}, m={m}, got shape {body.shape}")
+    body = body[..., 0] + 1j * body[..., 1]
+    return TensorField(body.reshape(grid + (n, n, m, m)), grid,
+                       periodic=bool(doc.get("periodic", False)))
 
 
 def _read_json(path: str):
@@ -236,32 +233,36 @@ def _load_scalar_field(path: str) -> np.ndarray:
 
 def _cmd_lame(args) -> int:
     started = time.monotonic()
-    lam_samples = _load_scalar_field(args.lambda_field)
-    mu_samples = _load_scalar_field(args.mu_field)
-    if (lam_samples is None) != (mu_samples is None):
+    lam = _load_scalar_field(args.lambda_field)
+    mu = _load_scalar_field(args.mu_field)
+    if (lam is None) != (mu is None):
         raise InputError("provide both --lambda-field and --mu-field or neither")
-    if lam_samples is not None:
-        if lam_samples.shape != mu_samples.shape:
+    if lam is not None:
+        if lam.shape != mu.shape:
             raise InputError("lambda and mu fields must share a lattice")
-        pairs = list(zip(lam_samples, mu_samples))
+        if lam.size == 0:
+            raise InputError("lambda and mu fields must not be empty")
+        # bounds for every sample at once, the full report at the worst one
+        c_lowers, c_uppers = _c_bounds(args.n, lam, mu)
+        i = int(np.argmin(c_lowers))
+        worst = sufficient_constant(args.n, lam[i], mu[i])
+        c_upper = float(np.min(c_uppers))
     elif args.lam is None or args.mu is None:
         raise InputError("lame needs --lambda and --mu, or --lambda-field and --mu-field")
     else:
-        pairs = [(args.lam, args.mu)]
-    reports = [sufficient_constant(args.n, la, mu) for la, mu in pairs]
-    worst = min(reports, key=lambda r: r.c_lower)
-    c_lower = min(r.c_lower for r in reports)
-    c_upper = min(r.c_upper for r in reports)
-    adm = admissibility([la for la, _ in pairs], [mu for _, mu in pairs], args.mu0)
+        lam, mu = args.lam, args.mu
+        worst = sufficient_constant(args.n, lam, mu)
+        c_upper = worst.c_upper
+    adm = admissibility(lam, mu, args.mu0)
     result = {
         "n": args.n,
-        "c_lower": c_lower,
+        "c_lower": worst.c_lower,
         "c_upper": c_upper,
         "gamma_star": worst.gamma_star,
         "r_star": worst.r_star,
         "branch": worst.branch,
         "p_interval": worst.p_interval.as_dict(),
-        "samples": len(pairs),
+        "samples": int(np.size(lam)),
         "admissibility": {
             "admissible": adm.admissible,
             "lower_combination": adm.lower_combination,

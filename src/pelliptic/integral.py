@@ -6,7 +6,9 @@ axis (spacing h = 1/(N-1)) and vanish identically on the boundary layer.
 Gradients are forward differences anchored at the cell's base corner; the
 direction field v/|v| and the degenerate-cell threshold are evaluated at
 the same base corner, and coefficient tensors are sampled at cell
-midpoints. Desk-scale limits: n in {2, 3}, 8 <= N <= 65, m <= 4.
+midpoints. The discrete quotient and the weighted-coercivity estimate
+share one per-cell decomposition (_cell_pieces). Desk-scale limits:
+n in {2, 3}, 8 <= N <= 65, m <= 4, and 1 < p < inf.
 
 A positive strong margin at t(p) certifies the integral condition, so the
 falsifier can only ever refute: "no counterexample found" is not a proof.
@@ -14,7 +16,6 @@ falsifier can only ever refute: "no counterexample found" is not a proof.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,9 +99,7 @@ def _forward_gradient(arr: np.ndarray, n: int, h: float) -> np.ndarray:
     cells = tuple(slice(0, N - 1) for _ in range(n))
     comps = []
     for d in range(n):
-        hi = tuple(
-            slice(1, N) if a == d else slice(0, N - 1) for a in range(n)
-        )
+        hi = tuple(slice(1, N) if a == d else slice(0, N - 1) for a in range(n))
         comps.append((arr[hi] - arr[cells]) / h)
     return np.stack(comps, axis=n)
 
@@ -124,56 +123,45 @@ def _check_field(F: TensorField, n: int, m: int):
         raise InputError("sampled fields must have an n-dimensional lattice here")
 
 
+def _check_exponent(p: float):
+    if not 1.0 < p < np.inf:
+        raise InputError(f"p must lie in (1, inf), got {p}")
+
+
+def _cell_pieces(v: TestFunctionGrid):
+    """Per-cell forward gradient (cells, n, m), base values (cells, m) and
+    their channel norms |v|, the non-degenerate cells (base |v| above
+    DEGENERATE_REL times the largest |v|), and |v| on the whole lattice."""
+    arr, n, N = v.values, v.n, v.N
+    mag = np.abs(np.sqrt(np.einsum("...a,...a->...", arr, np.conj(arr)).real))
+    cells = tuple(slice(0, N - 1) for _ in range(n))
+    base_mag = mag[cells].ravel()
+    ok = base_mag > DEGENERATE_REL * float(mag.max())
+    grad = _forward_gradient(arr, n, 1.0 / (N - 1)).reshape(-1, n, v.m)
+    return grad, arr[cells].reshape(-1, v.m), base_mag, ok, mag
+
+
 def _quotient_pieces(F: TensorField, p: float, v: TestFunctionGrid):
     """Per-cell gradient xi, projected term g, and cell tensors."""
-    if not p > 1.0:
-        raise InputError("p must exceed 1")
-    arr = v.values
-    if not np.any(arr):
+    _check_exponent(p)
+    if not np.any(v.values):
         raise InputError("test function is identically zero")
-    n, N, m = v.n, v.N, v.m
-    _check_field(F, n, m)
-    h = 1.0 / (N - 1)
-
-    grad = _forward_gradient(arr, n, h)              # (.., n, m)
-    mag = np.abs(np.sqrt(np.einsum("...a,...a->...", arr, np.conj(arr)).real))
-    grad_mag = _forward_gradient(mag, n, h)          # (.., n)
-
-    cells = tuple(slice(0, N - 1) for _ in range(n))
-    base = arr[cells]                                # (.., m)
-    base_mag = mag[cells]
-    thresh = DEGENERATE_REL * float(mag.max())
-    ok = base_mag > thresh
+    n, N = v.n, v.N
+    _check_field(F, n, v.m)
+    xi, base, base_mag, ok, mag = _cell_pieces(v)
+    grad_mag = _forward_gradient(mag, n, 1.0 / (N - 1)).reshape(-1, n)
     direction = np.zeros_like(base)
-    direction[ok] = base[ok] / base_mag[ok][..., None]
-    g = direction[..., None, :] * grad_mag[..., :, None]   # (.., n, m)
-
-    xi = grad.reshape(-1, n, m)
-    g = g.reshape(-1, n, m)
+    direction[ok] = base[ok] / base_mag[ok][:, None]
+    g = direction[:, None, :] * grad_mag[:, :, None]
     if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(g))):
         raise NumericalFailureError("non-finite finite differences", partial=None)
-    A_cells = _cell_tensors(F, n, N)
-    return xi, g, A_cells
+    return xi, g, _cell_tensors(F, n, N)
 
 
 def _pair_cells(A_cells: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Re sum over cells of <A(cell) x_cell, y_cell>."""
-    if A_cells.shape[0] == 1:
-        return float(np.real(np.einsum("hkab,cha,ckb->", A_cells[0], x, np.conj(y))))
-    total = 0.0
-    step = 32768
-    for i in range(0, x.shape[0], step):
-        total += float(
-            np.real(
-                np.einsum(
-                    "chkab,cha,ckb->",
-                    A_cells[i : i + step],
-                    x[i : i + step],
-                    np.conj(y[i : i + step]),
-                )
-            )
-        )
-    return total
+    """Re sum over cells of <A(cell) x_cell, y_cell>; a constant field's
+    single cell tensor broadcasts over every cell."""
+    return float(np.real(np.einsum("chkab,cha,ckb->", A_cells, x, np.conj(y))))
 
 
 def discrete_quotient(F: TensorField, p: float, v: TestFunctionGrid) -> float:
@@ -211,6 +199,10 @@ def random_test_grid(n: int, N: int, m: int, rng: np.random.Generator,
     plane-wave oscillation (random direction, frequency <= 4) riding on it.
     The second shape stresses the direction-projection term, which is where
     the pointwise conditions bite; both vanish exactly on the boundary.
+
+    The sine-sum coefficients come from one standard_normal call (complex
+    ones real part first), matching one scalar draw per coefficient in value
+    and stream position; the sum is one sine contraction per axis.
     """
     x = np.linspace(0.0, 1.0, N)
     sines = np.stack([np.sin(np.pi * f * x) for f in range(1, _MAX_FREQ + 1)])
@@ -220,19 +212,13 @@ def random_test_grid(n: int, N: int, m: int, rng: np.random.Generator,
     for _ in range(n - 1):
         bump = np.multiply.outer(bump, sines[0])
 
-    def coeff():
-        if real:
-            return rng.standard_normal()
-        return rng.standard_normal() + 1j * rng.standard_normal()
-
-    values = np.zeros((N,) * n + (m,), dtype=complex)
-    for freqs in itertools.product(range(_MAX_FREQ), repeat=n):
-        scale = 1.0 / (1.0 + sum(freqs))
-        mode = sines[freqs[0]]
-        for f in freqs[1:]:
-            mode = np.multiply.outer(mode, sines[f])
-        for a in range(m):
-            values[..., a] += coeff() * scale * mode
+    shape = (_MAX_FREQ,) * n + (m,)
+    draws = rng.standard_normal(shape if real else shape + (2,))
+    coeffs = draws if real else draws[..., 0] + 1j * draws[..., 1]
+    values = coeffs * (1.0 / (1.0 + np.indices(shape[:-1]).sum(axis=0)))[..., None]
+    for _ in range(n):
+        values = np.tensordot(values, sines, axes=(0, 0))
+    values = np.moveaxis(values, 0, -1)
 
     if rng.random() < 0.6:
         carrier_dir = _random_direction(rng, m, real)
@@ -285,12 +271,13 @@ def falsify_integral(F: TensorField, p: float, trials: int, seed: int = 0,
 
 
 def _weighted_gradient_pieces(u: np.ndarray, grads: np.ndarray, p: float):
+    """Samples with |u| > 0 and, per sample, w = |u|, d|u|, |grad u|^2 and the
+    middle term w^{p-2}(|grad u|^2 + (p^2/4 - 1)|grad|u||^2)."""
     u = np.asarray(u, dtype=complex)
     grads = np.asarray(grads, dtype=complex)
     if u.ndim != 2 or grads.ndim != 3 or grads.shape[0] != u.shape[0] or grads.shape[2] != u.shape[1]:
         raise InputError("expected u of shape (S, m) and gradients of shape (S, n, m)")
-    if not p > 1.0:
-        raise InputError("p must exceed 1")
+    _check_exponent(p)
     w = np.linalg.norm(u, axis=1)
     keep = w > 0.0
     if not np.any(keep):
@@ -299,8 +286,8 @@ def _weighted_gradient_pieces(u: np.ndarray, grads: np.ndarray, p: float):
     # d_h |u| = Re<u, d_h u>/|u|
     dmag = np.real(np.einsum("sa,sha->sh", np.conj(u), grads)) / w[:, None]
     grad_sq = np.einsum("sha,sha->s", grads, np.conj(grads)).real
-    dmag_sq = np.einsum("sh,sh->s", dmag, dmag)
-    return u, grads, w, dmag, grad_sq, dmag_sq
+    mid = (w ** (p - 2.0)) * (grad_sq + (p * p / 4.0 - 1.0) * np.einsum("sh,sh->s", dmag, dmag))
+    return u, grads, w, dmag, grad_sq, mid
 
 
 def power_identity_residual(u, grads, p: float) -> float:
@@ -309,7 +296,7 @@ def power_identity_residual(u, grads, p: float) -> float:
     The left side is expanded by the chain rule at each sample; samples with
     |u| = 0 are skipped (vanishing-interpretation convention).
     """
-    u, grads, w, dmag, grad_sq, dmag_sq = _weighted_gradient_pieces(u, grads, p)
+    u, grads, w, dmag, _, mid = _weighted_gradient_pieces(u, grads, p)
     s = 0.5 * (p - 2.0)
     # grad(|u|^s u)[h,a] = s |u|^{s-1} d_h|u| u_a + |u|^s grad[h,a]
     lhs_field = (
@@ -317,8 +304,7 @@ def power_identity_residual(u, grads, p: float) -> float:
         + (w ** s)[:, None, None] * grads
     )
     lhs = np.einsum("sha,sha->s", lhs_field, np.conj(lhs_field)).real
-    rhs = (w ** (p - 2.0)) * (grad_sq + (p * p / 4.0 - 1.0) * dmag_sq)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(lhs - mid)))
 
 
 def power_identity_bounds_slack(u, grads, p: float) -> tuple[float, float]:
@@ -328,13 +314,10 @@ def power_identity_bounds_slack(u, grads, p: float) -> tuple[float, float]:
     Both returned slacks must be >= 0 (up to roundoff) for the identity's
     two-sided comparison to hold.
     """
-    u, grads, w, dmag, grad_sq, dmag_sq = _weighted_gradient_pieces(u, grads, p)
-    mid = (w ** (p - 2.0)) * (grad_sq + (p * p / 4.0 - 1.0) * dmag_sq)
+    _, _, w, _, grad_sq, mid = _weighted_gradient_pieces(u, grads, p)
     base = (w ** (p - 2.0)) * grad_sq
     c1, c2 = (1.0, p * p / 4.0) if p >= 2.0 else (p * p / 4.0, 1.0)
-    lower = float(np.min(mid - c1 * base))
-    upper = float(np.min(c2 * base - mid))
-    return lower, upper
+    return float(np.min(mid - c1 * base)), float(np.min(c2 * base - mid))
 
 
 def lambda_p_estimate(F: TensorField, p: float, trials: int, seed: int = 0,
@@ -343,38 +326,27 @@ def lambda_p_estimate(F: TensorField, p: float, trials: int, seed: int = 0,
 
     Minimum over random test grids of
     Re sum <A grad u, grad(|u|^{p-2} u)> / sum |u|^{p-2} |grad u|^2,
-    chain-rule expanded per cell; cells with degenerate base magnitude are
-    dropped from both sums. Positive whenever the strong margin at t(p) is.
+    chain-rule expanded per cell on the quotient's cell pieces (base values
+    and forward gradients); cells under the quotient's degenerate threshold
+    are dropped from both sums. Positive whenever the strong margin at t(p) is.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
-    if not p > 1.0:
-        raise InputError("p must exceed 1")
     n, m = F.n, F.m
     _check_field(F, n, m)
-    real = F.is_real
     A_all = _cell_tensors(F, n, N)
     best = np.inf
     for trial in range(trials):
-        rng = substream(seed, trial)
-        grid = random_test_grid(n, N, m, rng, real=real)
-        arr = grid.values
-        h = 1.0 / (N - 1)
-        grad = _forward_gradient(arr, n, h).reshape(-1, n, m)
-        cells = tuple(slice(0, N - 1) for _ in range(n))
-        base = arr[cells].reshape(-1, m)
-        w = np.linalg.norm(base, axis=1)
-        ok = w > DEGENERATE_REL * float(np.abs(arr).max())
-        base, grad, w = base[ok], grad[ok], w[ok]
-        dmag = np.real(np.einsum("sa,sha->sh", np.conj(base), grad)) / w[:, None]
+        grid = random_test_grid(n, N, m, substream(seed, trial), real=F.is_real)
+        grad, base, _, ok, _ = _cell_pieces(grid)
+        u, grad, w, dmag, grad_sq, _ = _weighted_gradient_pieces(base[ok], grad[ok], p)
         # grad(|u|^{p-2} u) = (p-2) w^{p-3} d|u| u + w^{p-2} grad u
         target = (
-            (p - 2.0) * (w ** (p - 3.0))[:, None, None] * dmag[:, :, None] * base[:, None, :]
+            (p - 2.0) * (w ** (p - 3.0))[:, None, None] * dmag[:, :, None] * u[:, None, :]
             + (w ** (p - 2.0))[:, None, None] * grad
         )
-        A_cells = A_all[ok] if A_all.shape[0] > 1 else A_all
-        num = _pair_cells(A_cells, grad, target)
-        den = float(np.sum((w ** (p - 2.0)) * np.einsum("sha,sha->s", grad, np.conj(grad)).real))
+        num = _pair_cells(A_all[ok] if len(A_all) > 1 else A_all, grad, target)
+        den = float(np.sum((w ** (p - 2.0)) * grad_sq))
         if den <= 0:
             continue
         best = min(best, num / den)

@@ -279,7 +279,8 @@ class TestContracts:
     @pytest.mark.parametrize("case", ["no-moduli", "missing-field-file", "no-entries", "bad-n",
                                       "n-overflow", "grid-overflow", "lambda-inf",
                                       "lambda-field-overflow", "p0-text", "q-strong-nan",
-                                      "lame-n1", "p0-minus-inf", "q-strong-minus-inf"])
+                                      "lame-n1", "p0-minus-inf", "q-strong-minus-inf",
+                                      "falsify-p-inf", "falsify-p-overflow", "lambda-field-empty"])
     def test_malformed_input_exit_two(self, capsys, tmp_path, case):
         # json reads 1e400 as inf
         docs = {
@@ -320,6 +321,17 @@ class TestContracts:
             argv = ["solvability", "--theorem", "homogenization", "--n", "3",
                     "--q-strong", "-inf"]
             message = "--q-strong"
+        elif case in ("falsify-p-inf", "falsify-p-overflow"):
+            path = tmp_path / "identity.json"
+            path.write_text(json.dumps(tensor_to_json(pe.CoefficientTensor.identity(2, 2))))
+            argv = ["falsify", str(path), "--trials", "2",
+                    "--p", "inf" if case == "falsify-p-inf" else "1e400"]
+            message = "p must lie in (1, inf)"
+        elif case == "lambda-field-empty":
+            empty = tmp_path / "empty.json"
+            empty.write_text('{"schema": 1, "values": []}')
+            argv = ["lame", "--n", "3", "--lambda-field", str(empty), "--mu-field", str(empty)]
+            message = "must not be empty"
         elif case == "lame-n1":
             argv = ["lame", "--n", "1", "--lambda", "1", "--mu", "1"]
             message = "dimension must be >= 2"

@@ -1,6 +1,8 @@
 """Discrete coercivity quotient, falsifier, and weighted-gradient identities."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,10 @@ import pelliptic as pe
 from pelliptic import integral
 from pelliptic.errors import InputError
 from pelliptic.integral import _forward_gradient
+from pelliptic.runtime import substream
+from test_acceptance import make_batch
+
+REFERENCE = json.loads((Path(__file__).parent / "data" / "falsifier_reference.json").read_text())
 
 
 def sine_grid(N, m, coeffs):
@@ -161,6 +167,7 @@ class TestFalsifier:
         lame = pe.TensorField.constant(pe.lame_tensor(1.0, 1.0, 0.5, 2))
         hit = pe.falsify_integral(lame, p, trials=500, seed=3)
         assert hit is not None
+        assert hit.trial == 289
         assert hit.quotient <= 0.0
         # the stored grid reproduces the quotient
         assert pe.discrete_quotient(lame, p, hit.grid) == pytest.approx(
@@ -199,12 +206,136 @@ class TestFalsifier:
         assert all(q > 0.0 for q in quotients[:-1])
         assert quotients[-1] == hit.quotient
 
+    def test_identical_samples_match_constant_field_bitwise(self):
+        p = 2.0 / (1.0 - np.sqrt(0.9))
+        for n, N in ((2, 17), (2, 33), (3, 9), (3, 17)):
+            A = pe.lame_tensor(1.0, 0.7, 0.3, n)
+            constant = pe.TensorField.constant(A)
+            grid = (3,) * n
+            sampled = pe.TensorField(np.broadcast_to(A.entries, grid + A.entries.shape).copy(), grid)
+            for seed in range(4):
+                v = pe.random_test_grid(n, N, n, np.random.default_rng(seed))
+                assert pe.discrete_quotient(sampled, p, v) == pe.discrete_quotient(constant, p, v)
+
     def test_real_field_draws_real_functions(self):
         lame = pe.TensorField.constant(pe.lame_tensor(1.0, 1.0, 0.5, 2))
         t = np.sqrt(0.9)
         hit = pe.falsify_integral(lame, 2.0 / (1.0 - t), trials=500, seed=3)
         assert hit is not None
         assert np.all(hit.grid.values.imag == 0.0)
+
+
+def _scalar_draw_grid(n, N, m, rng, real):
+    """random_test_grid as one scalar draw per coefficient and one
+    multiply.outer mode per frequency tuple: the reference for the batched
+    draw and the sine contraction."""
+    x = np.linspace(0.0, 1.0, N)
+    sines = np.stack([np.sin(np.pi * f * x) for f in range(1, 5)])
+    sines[:, 0] = 0.0
+    sines[:, -1] = 0.0
+    bump = sines[0]
+    for _ in range(n - 1):
+        bump = np.multiply.outer(bump, sines[0])
+    values = np.zeros((N,) * n + (m,), dtype=complex)
+    for freqs in itertools.product(range(4), repeat=n):
+        mode = sines[freqs[0]]
+        for f in freqs[1:]:
+            mode = np.multiply.outer(mode, sines[f])
+        for a in range(m):
+            c = rng.standard_normal() if real else rng.standard_normal() + 1j * rng.standard_normal()
+            values[..., a] += c * (1.0 / (1.0 + sum(freqs))) * mode
+
+    def direction(dim, real):
+        v = rng.standard_normal(dim)
+        if not real:
+            v = v + 1j * rng.standard_normal(dim)
+        return v / np.linalg.norm(v)
+
+    if rng.random() < 0.6:
+        carrier_dir, rider_dir, q = direction(m, real), direction(m, real), direction(n, True)
+        freq = float(rng.integers(2, 5))
+        phase = 2.0 * np.pi * rng.random()
+        mesh = np.meshgrid(*([x] * n), indexing="ij")
+        wave = np.sin(2.0 * np.pi * freq * sum(qd * g for qd, g in zip(q, mesh)) + phase)
+        carrier_amp = 0.2 + 2.0 * rng.random()
+        ratio = 0.15 + 0.75 * rng.random()
+        noise_level = 0.02 * rng.random() * carrier_amp
+        values = (carrier_amp * np.multiply.outer(bump, carrier_dir)
+                  + carrier_amp * ratio * np.multiply.outer(wave * bump, rider_dir)
+                  + noise_level * values / max(np.abs(values).max(), 1e-300))
+    return values
+
+
+class TestTestGridDraw:
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batched_draw_matches_scalar_draws(self, n, m, real):
+        N = 17 if n == 2 else 9
+        for seed in range(40):
+            ours, ref = substream(seed, 1), substream(seed, 1)
+            got = pe.random_test_grid(n, N, m, ours, real=real).values
+            want = _scalar_draw_grid(n, N, m, ref, real)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            if real:
+                assert np.all(got.imag == 0.0)
+            # the stream is left where the scalar draws leave it
+            assert ours.random() == ref.random()
+
+
+class TestFalsifierReference:
+    """falsify_integral against answers recorded before the draws were
+    batched: the same hit trial (or none), lowest quotients within 1e-14."""
+
+    @staticmethod
+    def _run(F, p, trials, seed, N, monkeypatch):
+        original = integral.discrete_quotient
+        quotients = []
+
+        def counted(F, p, v):
+            quotients.append(original(F, p, v))
+            return quotients[-1]
+
+        monkeypatch.setattr(integral, "discrete_quotient", counted)
+        hit = pe.falsify_integral(F, p, trials=trials, seed=seed, N=N)
+        monkeypatch.undo()
+        return hit, min(quotients)
+
+    def test_criterion_5_probes(self, monkeypatch):
+        batch = make_batch(40, 5000)
+        rows = REFERENCE["criterion_5"]
+        assert len(rows) == 63
+        for index, t, trial, lowest in rows:
+            F = pe.TensorField.constant(batch[index])
+            hit, got = self._run(F, 2.0 / (1.0 - t), 100, 5, 33, monkeypatch)
+            assert trial is None and hit is None
+            assert got == pytest.approx(lowest, abs=1e-14)
+
+    def test_refuting_lame_tensors(self, monkeypatch):
+        rows = REFERENCE["lame"]
+        assert len(rows) == 14
+        for lam, mu, r, N, t, trial, quotient in rows:
+            F = pe.TensorField.constant(pe.lame_tensor(lam, mu, r, 2))
+            hit, got = self._run(F, 2.0 / (1.0 - t), 300, 3, N, monkeypatch)
+            assert hit is not None and hit.trial == trial
+            assert hit.quotient == got
+            assert hit.quotient == pytest.approx(quotient, abs=1e-14)
+
+
+class TestExponentCheck:
+    @pytest.mark.parametrize("p", [1.0, 0.5, np.inf, np.nan])
+    def test_p_outside_open_interval_rejected(self, p):
+        u = np.ones((3, 2), dtype=complex)
+        g = np.ones((3, 2, 2), dtype=complex)
+        v = pe.random_test_grid(2, 9, 2, np.random.default_rng(0))
+        calls = [lambda: pe.discrete_quotient(IDENTITY_2, p, v),
+                 lambda: pe.falsify_integral(IDENTITY_2, p, trials=2),
+                 lambda: pe.lambda_p_estimate(IDENTITY_2, p, trials=2),
+                 lambda: pe.power_identity_residual(u, g, p),
+                 lambda: pe.power_identity_bounds_slack(u, g, p)]
+        for call in calls:
+            with pytest.raises(InputError, match=r"p must lie in \(1, inf\)"):
+                call()
 
 
 class TestPowerIdentity:
