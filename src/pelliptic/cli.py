@@ -145,13 +145,15 @@ def _finite_or_inf(x: float):
     return "inf" if x == math.inf else x
 
 
-def _emit(command: str, config: dict, seed, result: dict, started: float) -> None:
+def _emit(command: str, config: dict, seed, result: dict, started: float, **facts) -> None:
+    """Print the payload; ``facts`` (run counters) go in the manifest only."""
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
         "version": __version__,
         "duration_ms": round(1000.0 * (time.monotonic() - started), 3),
+        **facts,
     }
     print(json.dumps({"manifest": manifest, "result": result},
                      sort_keys=True, default=_json_default))
@@ -202,7 +204,8 @@ def _cmd_check(args) -> int:
         code = EXIT_OK
     _emit("check", {"input": args.input, "p": args.p,
                     "starts": args.starts, "field": args.field},
-          args.seed, result, started)
+          args.seed, result, started,
+          polish_steps={"strong": strong.polish_steps, "lh": lh.polish_steps})
     return code
 
 

@@ -19,14 +19,14 @@ with G a pairing matrix (of A, or of M_q for the direction-frozen form) and
 Pi = V V^T the projection onto the direction, V an orthonormal basis of
 its range. One assembly builds S(t) for both searches, so the inner
 infimum is the smallest eigenvalue of S(t); only the compact direction set
-needs a global search: seeded multistart, then one batched gradient polish
-(``minimize``) of the best starts, whose gradients come from the lowest
-eigenvector (``_FormProblem.slope``). The reported value is therefore an
-upper bound on the true infimum and results carry ``certified=False``. At
-a fixed witness the form is an exact parabola in t, read off the lowest
-eigenvector; ``margin_curve`` polishes every t of its grid in one batch,
-refines each t's winner with Newton steps and bounds each point by the
-parabolas of all the grid's witnesses.
+needs a global search: seeded multistart, then one batched quasi-Newton
+(BFGS) polish (``minimize``) of the best starts, whose gradients come from
+the lowest eigenvector (``_FormProblem.slope``). The reported value is
+therefore an upper bound on the true infimum and results carry
+``certified=False``. At a fixed witness the form is an exact parabola in t,
+read off the lowest eigenvector; ``margin_curve`` polishes every t of its
+grid in one batch and bounds each point by the parabolas of all the grid's
+witnesses.
 
 The same assembly gives the ends of an admissible interval: per direction
 the first t on each side of 0 where S(t) = S0 + t S1 + t^2 S2 turns
@@ -60,7 +60,6 @@ from .tensors import (
 _TEST_FIELDS = ("auto", "complex", "real")
 POLISHED = 16       # best starts each search polishes
 POLISH_STEPS = 300  # step cap per polished row
-NEWTON_STEPS = 4    # step cap of margin_curve's second-order refinement
 
 
 @dataclass(frozen=True)
@@ -107,6 +106,7 @@ class MarginResult:
     value: float
     witness: Witness
     evaluations: int
+    polish_steps: int   # batched steps of the search's polish
     certified: bool = False
 
 
@@ -221,25 +221,31 @@ class _FormProblem:
 
     A subclass supplies the pairing G and the direction basis V (Pi = V V^T)
     of a batch of normalized candidate directions (``_operands``), the
-    columns where a candidate splits into separately normalized unit blocks
-    (``splits``) and the witness built from an eigenvector (``_make_witness``).
+    candidate length ``dim`` and the columns where a candidate splits into
+    separately normalized unit blocks (``splits``), and the witness built
+    from an eigenvector (``_make_witness``).
     """
 
-    def __init__(self, A: CoefficientTensor, parts: int):
-        self.parts = parts
-        self.splits = ()
+    def __init__(self, A: CoefficientTensor, parts: int, dim: int, splits=()):
+        self.parts, self.dim, self.splits = parts, dim, splits
         self.n, self.m = A.n, A.m
         self.entries = A.entries.real.astype(complex) if parts == 1 else A.entries
+        self._block_starts = [0, *splits]
+        self._block_sizes = np.diff([0, *splits, dim])
+
+    def _block_sums(self, P: np.ndarray) -> np.ndarray:
+        """Row sums of P over each unit block, repeated across the block."""
+        return np.repeat(np.add.reduceat(P, self._block_starts, axis=1), self._block_sizes, axis=1)
 
     def _normalize(self, W: np.ndarray) -> np.ndarray:
         """Each unit block of every row rescaled to norm 1 (the polish's retraction)."""
-        return np.hstack([_normalized(B) for B in np.split(W, self.splits, axis=1)])
+        norms = np.sqrt(self._block_sums(W * W))
+        norms[norms == 0] = 1.0
+        return W / norms
 
     def _tangent(self, W: np.ndarray, g: np.ndarray) -> np.ndarray:
         """g with its component along each unit block of W removed."""
-        return np.hstack([gb - np.sum(gb * wb, axis=1, keepdims=True) * wb
-                          for wb, gb in zip(np.split(W, self.splits, axis=1),
-                                            np.split(g, self.splits, axis=1))])
+        return g - self._block_sums(W * g) * W
 
     def _split(self, G: np.ndarray):
         """sym(G), skew(G), F^T with F F^T = sym(G)^-1, and whether sym(G) is
@@ -331,8 +337,7 @@ class _StrongProblem(_FormProblem):
     """Strong form: a candidate is the coordinate vector of omega."""
 
     def __init__(self, A: CoefficientTensor, parts: int):
-        super().__init__(A, parts)
-        self.dim = parts * A.m
+        super().__init__(A, parts, parts * A.m)
         self.G = _pairing_matrix(self.entries, parts)
         self._G_split = super()._split(self.G)
 
@@ -355,9 +360,7 @@ class _LHProblem(_FormProblem):
     as sum_hk q_h q_k G_hk from the pairings G_hk of the blocks A[h,k]."""
 
     def __init__(self, A: CoefficientTensor, parts: int):
-        super().__init__(A, parts)
-        self.dim = parts * A.m + A.n
-        self.splits = (parts * A.m,)
+        super().__init__(A, parts, parts * A.m + A.n, (parts * A.m,))
         self.G_blocks = _pairing_matrix(self.entries[:, :, None, None], parts)
 
     def _operands(self, W):
@@ -389,35 +392,60 @@ class PolishResult:
 
 
 def minimize(problem: _FormProblem, fg, W: np.ndarray) -> PolishResult:
-    """Batched Riemannian gradient descent from every row of W: tangent
-    steps of Barzilai-Borwein length with Armijo backtracking, retracted by
-    ``problem._normalize`` (Absil, Mahony & Sepulchre, 2008). fg(X, rows)
-    gives the values and Euclidean gradients at the normalized rows X, which
-    are the rows ``rows`` (indices into W) of the batch, so a row may carry
-    its own t. A row stops once an accepted step gains less than 1e-13
-    relative, once its step underflows, or after POLISH_STEPS steps. Rows
-    never interact, so each ends where it would if polished alone."""
+    """Batched Riemannian BFGS from every row of W (Huang, Gallivan & Absil,
+    2015), retracted by ``problem._normalize``. Each row keeps an
+    inverse-Hessian estimate H in ambient coordinates and steps along
+    d = -tangent(H g), or -g where that is no descent direction (H = 0
+    until the first update), trying the unit step first and halving it
+    until the Armijo condition holds. An accepted step s with
+    y = g+ - tangent+(g) (transport by projection) updates H by the BFGS
+    formula when s.y > 0, the first update starting from (s.y / y.y) I;
+    otherwise the row is concave along s, H stays and the next try doubles
+    the step length. fg(X, rows) gives the values and Euclidean gradients at
+    the normalized rows X, which are the rows ``rows`` (indices into W) of
+    the batch, so a row may carry its own t. A row stops once an accepted
+    step gains less than 1e-13 relative, once its step underflows, or after
+    POLISH_STEPS steps. Rows never interact, so each ends where it would if
+    polished alone."""
     x = problem._normalize(np.asarray(W, dtype=float))
     live = np.arange(len(x))
     f, g = fg(x, live)
     g = problem._tangent(x, g)
+    H = np.zeros((*x.shape, x.shape[1]))
     step = np.ones(len(x))
     nit, nfev = 0, len(x)
     while live.size and nit < POLISH_STEPS:
         nit += 1
-        gg = np.sum(g[live] ** 2, axis=1)
-        trial = problem._normalize(x[live] - step[live, None] * g[live])
+        gl = g[live]
+        d = -problem._tangent(x[live], np.einsum("bij,bj->bi", H[live], gl))
+        slope = np.sum(d * gl, axis=1)
+        steep = ~(slope < 0.0)
+        d[steep], slope[steep] = -gl[steep], -np.sum(gl[steep] ** 2, axis=1)
+        trial = problem._normalize(x[live] + step[live, None] * d)
         ft, gt = fg(trial, live)
         gt = problem._tangent(trial, gt)
         nfev += live.size
-        ok = ft <= f[live] - 1e-4 * step[live] * gg
+        ok = ft <= f[live] + 1e-4 * step[live] * slope
         done = np.where(ok, f[live] - ft <= 1e-13 * np.abs(ft),
-                        0.5 * step[live] * np.sqrt(gg) < 1e-15)
-        acc = live[ok]
-        s, dg = trial[ok] - x[acc], gt[ok] - g[acc]
-        sy = np.sum(s * dg, axis=1)
-        step[acc] = np.divide(np.sum(s * s, axis=1), sy, out=step[acc], where=sy > 0.0)
+                        0.5 * step[live] * np.sqrt(np.sum(d * d, axis=1)) < 1e-15)
         step[live[~ok]] *= 0.5
+        go = ok & ~done   # accepted rows that step on
+        if go.any():
+            acc = live[go]
+            s, y = trial[go] - x[acc], gt[go] - problem._tangent(trial[go], g[acc])
+            sy = np.sum(s * y, axis=1)
+            up = sy > 0.0
+            step[acc[~up]] *= 2.0
+            acc, s, y, sy = acc[up], s[up], y[up], sy[up]
+            step[acc] = 1.0
+            fresh = ~H[acc].any(axis=(1, 2))
+            H[acc[fresh]] = (sy / np.sum(y * y, axis=1))[fresh, None, None] * np.eye(x.shape[1])
+            Hy = np.einsum("bij,bj->bi", H[acc], y)
+            rho = 1.0 / sy[:, None, None]
+            ss, sHy = s[:, :, None] * s[:, None, :], s[:, :, None] * Hy[:, None, :]
+            H[acc] += rho * ((1.0 + rho * np.sum(y * Hy, axis=1)[:, None, None]) * ss
+                             - sHy - sHy.transpose(0, 2, 1))
+        acc = live[ok]
         x[acc], f[acc], g[acc] = trial[ok], ft[ok], gt[ok]
         live = live[~done]
     return PolishResult(x=x, fun=f, nit=nit, nfev=nfev)
@@ -427,7 +455,7 @@ def _search(problem: _FormProblem, cfg: SearchConfig, ts, extra_starts=()):
     """Margin search at every t of ts over the compact direction set: each t
     ranks the seeded starts and polishes its best POLISHED plus every extra
     start, all in one ``minimize`` with one t per row. Returns each t's best
-    polished row and the directions evaluated."""
+    polished row, the directions evaluated and the polish's batched steps."""
     ts = np.asarray(ts, dtype=float)
     starts = _starts(cfg, cfg.outer_starts, problem.dim)
     ranked = problem.values(np.tile(starts, (len(ts), 1)), np.repeat(ts, len(starts)))
@@ -439,56 +467,14 @@ def _search(problem: _FormProblem, cfg: SearchConfig, ts, extra_starts=()):
                    rows.reshape(-1, problem.dim))
     fun = res.fun.reshape(rows.shape[:2])
     winners = res.x.reshape(rows.shape)[np.arange(len(ts)), np.argmin(fun, axis=1)]
-    return winners, ranked.size + res.nfev
+    return winners, ranked.size + res.nfev, res.nit
 
 
 def _minimize_directions(problem, cfg: SearchConfig, extra_starts=()) -> MarginResult:
     """Margin search at cfg.t: ``_search`` on the one-point grid."""
-    winners, evaluations = _search(problem, cfg, [cfg.t], extra_starts)
+    winners, evaluations, nit = _search(problem, cfg, [cfg.t], extra_starts)
     wit, _, value = problem.witness(winners[0], cfg.t)
-    return MarginResult(value=value, witness=wit, evaluations=evaluations)
-
-
-def _newton(problem: _FormProblem, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Rows x refined at their t by up to NEWTON_STEPS Newton steps in an
-    orthonormal basis of the tangent space of the unit blocks, with a
-    central-difference Hessian of ``values`` (step 1e-4) whose eigenvalues
-    are taken in absolute value and floored at 1e-10. A row moves to the
-    best of the step and its halvings if that gains more than 1e-13
-    relative, judged by lambda_min as ``witness`` computes it, so no row's
-    witness value rises, even where it is near 0; the refinement ends once
-    no row moves. It finishes rows that the first-order polish leaves
-    unconverged, as where lambda_min is nearly double (complex LH forms
-    near t = 0)."""
-    owner = np.repeat(np.arange(len(problem.splits) + 1), np.diff([0, *problem.splits, problem.dim]))
-    normal = owner[:, None] == np.unique(owner)
-    h, scales, rows = 1e-4, 0.5 ** np.arange(12), np.arange(len(x))
-
-    def value(X, t):
-        return problem._lowest(problem._normalize(X), t)[0]
-
-    f = value(x, ts)
-    for _ in range(NEWTON_STEPS):
-        B = np.linalg.qr(x[:, :, None] * normal, mode="complete")[0][:, :, normal.shape[1]:]
-        k = B.shape[-1]
-        E = h * np.stack([np.eye(k), -np.eye(k)])
-        probes = x[:, None, None, None, None] + np.einsum(
-            "bdk,stijk->bstijd", B, E[:, None, :, None] + E[None, :, None, :])
-        fp = problem.values(probes.reshape(-1, problem.dim), np.repeat(ts, 4 * k * k))
-        fp = fp.reshape(len(x), 2, 2, k, k)
-        ev, U = np.linalg.eigh((fp[:, 0, 0] - fp[:, 0, 1] - fp[:, 1, 0] + fp[:, 1, 1]) / (4 * h * h))
-        BU = B @ U
-        g = np.einsum("bdk,bd->bk", BU, problem.slope(x, ts)[1]) / np.maximum(np.abs(ev), 1e-10)
-        trial = x[:, None] - scales[:, None] * np.einsum("bdk,bk->bd", BU, g)[:, None]
-        trial = problem._normalize(trial.reshape(-1, problem.dim)).reshape(trial.shape)
-        ft = value(trial.reshape(-1, problem.dim), np.repeat(ts, len(scales)))
-        j = np.argmin(ft.reshape(len(x), -1), axis=1)
-        best, ft = trial[rows, j], ft.reshape(len(x), -1)[rows, j]
-        lower = ft < f - 1e-13 * np.abs(f)
-        if not lower.any():
-            break
-        x[lower], f[lower] = best[lower], ft[lower]
-    return x
+    return MarginResult(value=value, witness=wit, evaluations=evaluations, polish_steps=nit)
 
 
 def _make_problem(A: CoefficientTensor, kind: str, field_mode: str):
@@ -565,11 +551,11 @@ def margin_curve(A: CoefficientTensor, ts, kind: str = "strong",
     """Margin estimates on a t-grid (cfg.t is not used), searched in one batch.
 
     ``_search`` polishes at every t the rows strong_margin / lh_margin would
-    polish there, all in one ``minimize``, and ``_newton`` then refines each
-    t's winner, so no point is above the single-t search value. Each point
-    is the minimum of its value and of the exact parabolas at every t's
-    winner, so the curve is a pointwise minimum of concave quadratics (hence
-    concave) whenever the tensor is Legendre-positive on projected states.
+    polish there, all in one ``minimize``, so each point's own value is the
+    single-t search value. Each point is the minimum of its value and of the
+    exact parabolas at every t's winner, so the curve is a pointwise minimum
+    of concave quadratics (hence concave) whenever the tensor is
+    Legendre-positive on projected states.
     """
     ts = np.asarray(ts, dtype=float)
     outside = ~((-1.0 < ts) & (ts < 1.0))
@@ -578,7 +564,7 @@ def margin_curve(A: CoefficientTensor, ts, kind: str = "strong",
     if not ts.size:
         return np.empty(0)
     problem = _make_problem(A, kind, cfg.resolve_field(A))
-    winners = _newton(problem, _search(problem, cfg, ts)[0], ts)
+    winners = _search(problem, cfg, ts)[0]
     parabolas, values = zip(*(problem.witness(w, t)[1:] for w, t in zip(winners, ts)))
     a0, a1, a2 = np.asarray(parabolas).T
     t = ts[:, None]

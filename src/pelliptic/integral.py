@@ -32,6 +32,11 @@ DEGENERATE_REL = 1e-12
 _MAX_FREQ = 4
 
 
+def _check_points(N: int) -> None:
+    if not MIN_POINTS <= N <= MAX_POINTS:
+        raise InputError(f"points per axis must lie in [{MIN_POINTS}, {MAX_POINTS}]")
+
+
 @dataclass(frozen=True)
 class TestFunctionGrid:
     """Complex m-vector samples on the lattice, zero on the boundary."""
@@ -47,8 +52,7 @@ class TestFunctionGrid:
         if len(set(shape)) != 1:
             raise InputError("lattice must have equal points per axis")
         N = shape[0]
-        if not MIN_POINTS <= N <= MAX_POINTS:
-            raise InputError(f"points per axis must lie in [{MIN_POINTS}, {MAX_POINTS}]")
+        _check_points(N)
         if arr.shape[-1] > MAX_CHANNELS:
             raise InputError(f"at most {MAX_CHANNELS} channels supported")
         if not np.all(np.isfinite(arr)):
@@ -251,6 +255,7 @@ def falsify_integral(F: TensorField, p: float, trials: int, seed: int = 0,
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
+    _check_points(N)
     n, m = F.n, F.m
     real = F.is_real
 
@@ -332,6 +337,7 @@ def lambda_p_estimate(F: TensorField, p: float, trials: int, seed: int = 0,
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
+    _check_points(N)
     n, m = F.n, F.m
     _check_field(F, n, m)
     A_all = _cell_tensors(F, n, N)

@@ -88,6 +88,18 @@ class TestCheck:
         assert payload["result"]["strong_margin"] < 0
         assert payload["result"]["classification"] == "refuted"
 
+    def test_polish_steps_in_manifest_only(self, capsys, lame_file):
+        runs = [run_cli(capsys, "check", lame_file, "--p", "14", "--seed", "5")[1]
+                for _ in range(2)]
+        result = runs[0]["result"]
+        assert set(result) == {"p", "t", "strong_margin", "lh_margin", "strong_witness",
+                               "lh_witness", "evaluations", "classification"}
+        assert json.dumps(result, sort_keys=True) == json.dumps(runs[1]["result"], sort_keys=True)
+        for payload in runs:
+            steps = payload["manifest"]["polish_steps"]
+            assert set(steps) == {"strong", "lh"}
+            assert all(type(v) is int and v > 0 for v in steps.values())
+
     def test_scalar_margin_reported_for_m1(self, capsys, tmp_path):
         A = pe.CoefficientTensor.from_matrix(np.eye(2))
         path = tmp_path / "scalar.json"
@@ -280,7 +292,9 @@ class TestContracts:
                                       "n-overflow", "grid-overflow", "lambda-inf",
                                       "lambda-field-overflow", "p0-text", "q-strong-nan",
                                       "lame-n1", "p0-minus-inf", "q-strong-minus-inf",
-                                      "falsify-p-inf", "falsify-p-overflow", "lambda-field-empty"])
+                                      "falsify-p-inf", "falsify-p-overflow", "lambda-field-empty",
+                                      "falsify-points-0", "falsify-points-negative",
+                                      "falsify-points-huge"])
     def test_malformed_input_exit_two(self, capsys, tmp_path, case):
         # json reads 1e400 as inf
         docs = {
@@ -327,6 +341,14 @@ class TestContracts:
             argv = ["falsify", str(path), "--trials", "2",
                     "--p", "inf" if case == "falsify-p-inf" else "1e400"]
             message = "p must lie in (1, inf)"
+        elif case.startswith("falsify-points"):
+            # checked before the first grid is drawn: 100000 points would
+            # need a grid of tens of GiB
+            path = tmp_path / "identity.json"
+            path.write_text(json.dumps(tensor_to_json(pe.CoefficientTensor.identity(2, 2))))
+            points = {"0": "0", "negative": "-5", "huge": "100000"}[case.rsplit("-", 1)[1]]
+            argv = ["falsify", str(path), "--trials", "2", "--p", "3", f"--points={points}"]
+            message = "points per axis"
         elif case == "lambda-field-empty":
             empty = tmp_path / "empty.json"
             empty.write_text('{"schema": 1, "values": []}')

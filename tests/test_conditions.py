@@ -6,6 +6,7 @@ import pytest
 import pelliptic as pe
 from pelliptic import conditions
 from pelliptic.errors import InputError
+from test_acceptance import make_batch
 
 
 def unit_state(arr):
@@ -318,18 +319,79 @@ class TestPolish:
         assert np.all(res.fun <= problem.values(W, -0.3))
 
 
-    def test_newton_lowers_rows_independently(self):
-        # near t = 0 the polish leaves these LH rows up to ~3e-6 above their
-        # minimum; each refined row ends where it would alone, and lower
-        A = pe.random_elliptic_tensor(3, 3, "hermitian-positive", seed=1046)
-        problem = conditions._make_problem(A, "lh", "complex")
-        ts = np.linspace(-0.06, 0.06, 7)
-        W, _ = conditions._search(problem, pe.SearchConfig(seed=7), ts)
-        together = conditions._newton(problem, W.copy(), ts)
-        alone = [conditions._newton(problem, W[i : i + 1].copy(), ts[i : i + 1]) for i in range(7)]
-        assert np.array_equal(together, np.vstack(alone))
-        gain = problem.values(W, ts) - problem.values(together, ts)
-        assert np.all(gain >= 0.0) and gain.max() > 1e-6
+def _bb_minimize(problem, fg, W):
+    """The Barzilai-Borwein gradient polish that the BFGS ``minimize``
+    replaced, kept as the differential tests' reference: tangent steps of
+    BB length with Armijo backtracking and the same stop rules."""
+    x = problem._normalize(np.asarray(W, dtype=float))
+    live = np.arange(len(x))
+    f, g = fg(x, live)
+    g = problem._tangent(x, g)
+    step = np.ones(len(x))
+    nit, nfev = 0, len(x)
+    while live.size and nit < conditions.POLISH_STEPS:
+        nit += 1
+        gg = np.sum(g[live] ** 2, axis=1)
+        trial = problem._normalize(x[live] - step[live, None] * g[live])
+        ft, gt = fg(trial, live)
+        gt = problem._tangent(trial, gt)
+        nfev += live.size
+        ok = ft <= f[live] - 1e-4 * step[live] * gg
+        done = np.where(ok, f[live] - ft <= 1e-13 * np.abs(ft),
+                        0.5 * step[live] * np.sqrt(gg) < 1e-15)
+        acc = live[ok]
+        s, dg = trial[ok] - x[acc], gt[ok] - g[acc]
+        sy = np.sum(s * dg, axis=1)
+        step[acc] = np.divide(np.sum(s * s, axis=1), sy, out=step[acc], where=sy > 0.0)
+        step[live[~ok]] *= 0.5
+        x[acc], f[acc], g[acc] = trial[ok], ft[ok], gt[ok]
+        live = live[~done]
+    return conditions.PolishResult(x=x, fun=f, nit=nit, nfev=nfev)
+
+
+class TestPolishReference:
+    """The BFGS polish against the Barzilai-Borwein one it replaced and
+    against oracle.brute_margin, on a fixed generated batch of real and
+    complex tensors."""
+
+    BATCH = make_batch(8, 600)
+
+    def test_batch_has_real_and_complex_tensors(self):
+        assert {A.is_real for A in self.BATCH} == {True, False}
+
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    @pytest.mark.parametrize("t", [-0.3, 0.2, 0.4])
+    def test_margins_no_higher(self, monkeypatch, kind, t):
+        search = pe.strong_margin if kind == "strong" else pe.lh_margin
+        cfg = pe.SearchConfig(t=t, seed=3)
+        new = [search(A, cfg).value for A in self.BATCH]
+        monkeypatch.setattr(conditions, "minimize", _bb_minimize)
+        old = [search(A, cfg).value for A in self.BATCH]
+        for A, got, ref in zip(self.BATCH, new, old):
+            assert got <= ref + 1e-9
+            assert got <= pe.brute_margin(A, t, kind, pe.OracleConfig()) + 1e-9
+
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    def test_threshold_ends_no_wider(self, monkeypatch, kind):
+        cfg = pe.SearchConfig(seed=3)
+        new = [conditions.threshold_ends(A, kind, cfg) for A in self.BATCH]
+        monkeypatch.setattr(conditions, "minimize", _bb_minimize)
+        old = [conditions.threshold_ends(A, kind, cfg) for A in self.BATCH]
+        for (lo, hi), (ref_lo, ref_hi) in zip(new, old):
+            assert lo >= ref_lo - 1e-9 and hi <= ref_hi + 1e-9
+
+    @pytest.mark.parametrize("kind, test_field, cap", [
+        ("lh", "real", 60), ("lh", "complex", 60),
+        ("strong", "real", 40), ("strong", "complex", 40)])
+    def test_step_counts(self, kind, test_field, cap):
+        # the Barzilai-Borwein polish took 174, 148, 24 and 19 steps here
+        A = pe.random_elliptic_tensor(3, 3, "legendre-perturbed", seed=501)
+        problem = conditions._make_problem(A, kind, test_field)
+        W = conditions._starts(pe.SearchConfig(seed=1), 16, problem.dim)
+        res = conditions.minimize(problem, lambda W, rows: problem.slope(W, 0.4)[:2], W)
+        assert res.nit <= cap
+        assert res.fun.min() <= _bb_minimize(
+            problem, lambda W, rows: problem.slope(W, 0.4)[:2], W).fun.min() + 1e-12
 
 
 class TestScalarMargin:
