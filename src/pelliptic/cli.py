@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 refuted / empty range (still valid output),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -358,7 +359,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="pelliptic",
         description="Strengthened-ellipticity margins, exponent ranges and "

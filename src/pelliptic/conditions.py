@@ -60,6 +60,7 @@ from .tensors import (
 _TEST_FIELDS = ("auto", "complex", "real")
 POLISHED = 16       # best starts each search polishes
 POLISH_STEPS = 300  # step cap per polished row
+MAX_STARTS = 4096   # outer_starts cap: the start batch is allocated at once
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,8 @@ class SearchConfig:
     def __post_init__(self):
         if not -1.0 < float(self.t) < 1.0:
             raise InputError(f"t must lie in (-1, 1), got {self.t}")
-        if self.outer_starts < 1:
-            raise InputError("outer_starts must be >= 1")
+        if not 1 <= self.outer_starts <= MAX_STARTS:
+            raise InputError(f"outer_starts must lie in [1, {MAX_STARTS}]")
         if self.test_field not in _TEST_FIELDS:
             raise InputError(f"test_field must be one of {_TEST_FIELDS}")
 

@@ -1,8 +1,8 @@
 """Deterministic RNG substreams and the one ordered map the searches use.
 
 Everything runs on one thread: the per-sample range searches and the
-falsifier's trials are consumed in order, so a caller can stop at the first
-item that settles its answer.
+falsifier's chunks of trials are consumed in order, so a caller can stop at
+the first item that settles its answer.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import pelliptic as pe
 from pelliptic.cli import (
     _load_scalar_field,
+    build_parser,
     field_to_json,
     main,
     parse_input_document,
@@ -276,6 +277,27 @@ class TestContracts:
             payload2["result"], sort_keys=True
         )
 
+    def test_cached_parser_matches_fresh_parser(self, capsys, identity_file, lame_file):
+        # one process runs the commands in turn on the parser it built once;
+        # each gives what a freshly built parser gives
+        p_beyond = repr(2.0 / (1.0 - math.sqrt(0.9)))
+        calls = [("check", lame_file, "--p", "14", "--starts", "16", "--seed", "5"),
+                 ("range", identity_file, "--kind", "lh"),
+                 ("falsify", lame_file, "--p", p_beyond, "--trials", "500", "--seed", "3"),
+                 ("check", identity_file, "--p", "4", "--starts", "many")]
+        assert build_parser() is build_parser()
+        cached = [run_cli(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in cached] == [0, 0, 1, 2]
+        for argv, (code, payload, err) in zip(calls, cached):
+            build_parser.cache_clear()
+            fresh_code, fresh_payload, fresh_err = run_cli(capsys, *argv)
+            assert (fresh_code, fresh_err) == (code, err)
+            if payload is None:
+                assert fresh_payload is None
+            else:
+                assert json.dumps(fresh_payload["result"], sort_keys=True) == json.dumps(
+                    payload["result"], sort_keys=True)
+
     def test_cli_import_loads_no_scipy(self):
         code = "import sys, pelliptic.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         src = str(Path(pe.__file__).resolve().parents[1])
@@ -294,7 +316,7 @@ class TestContracts:
                                       "lame-n1", "p0-minus-inf", "q-strong-minus-inf",
                                       "falsify-p-inf", "falsify-p-overflow", "lambda-field-empty",
                                       "falsify-points-0", "falsify-points-negative",
-                                      "falsify-points-huge"])
+                                      "falsify-points-huge", "check-starts-huge"])
     def test_malformed_input_exit_two(self, capsys, tmp_path, case):
         # json reads 1e400 as inf
         docs = {
@@ -349,6 +371,12 @@ class TestContracts:
             points = {"0": "0", "negative": "-5", "huge": "100000"}[case.rsplit("-", 1)[1]]
             argv = ["falsify", str(path), "--trials", "2", "--p", "3", f"--points={points}"]
             message = "points per axis"
+        elif case == "check-starts-huge":
+            # refused before the start batch is allocated
+            path = tmp_path / "identity.json"
+            path.write_text(json.dumps(tensor_to_json(pe.CoefficientTensor.identity(2, 2))))
+            argv = ["check", str(path), "--p", "3", "--starts", "100000000"]
+            message = "outer_starts must lie in [1, 4096]"
         elif case == "lambda-field-empty":
             empty = tmp_path / "empty.json"
             empty.write_text('{"schema": 1, "values": []}')

@@ -52,9 +52,9 @@ class TestDiscreteQuotient:
             # quotient does: forward differences, base-anchored threshold
             arr = v.values
             h = 1.0 / (v.N - 1)
-            grad = _forward_gradient(arr, 2, h)
+            grad = _forward_gradient(arr[None], 2, h)[0]
             mag = np.linalg.norm(arr, axis=-1)
-            gmag = _forward_gradient(mag, 2, h)
+            gmag = _forward_gradient(mag[None], 2, h)[0]
             base = mag[:-1, :-1]
             mask = base > 1e-12 * mag.max()
             num = np.sum(gmag[mask] ** 2)
@@ -139,9 +139,8 @@ class TestDiscreteQuotient:
 
 def _interior_factorization(F, p, v):
     """Ratio Q_cells(p)/Q_cells(2) over non-degenerate cells only."""
-    from pelliptic.integral import _quotient_pieces
-
-    xi, g, A_cells = _quotient_pieces(F, p, v)
+    xi, g = (piece[0] for piece in integral._direction_pieces(v.values[None]))
+    A_cells = integral._cell_tensors(F, v.n, v.N)
     t = 1 - 2 / p
     live = np.abs(g).sum(axis=(1, 2)) > 0
     xi, g = xi[live], g[live]
@@ -153,6 +152,23 @@ def _interior_factorization(F, p, v):
         return float(np.real(np.einsum("chkab,cha,ckb->", A, x, np.conj(y))))
 
     return pair(xi - t * g, xi + t * g) / pair(xi, xi)
+
+
+def _collect_quotients(monkeypatch, grids=None):
+    """Quotients the falsifier's chunk kernel hands out, in trial order; with
+    a list ``grids``, the scored grids too."""
+    original = integral._scored
+    quotients = []
+
+    def collected(M, p, values):
+        for k, q in original(M, p, values):
+            quotients.append(q)
+            if grids is not None:
+                grids.append(values[k])
+            yield k, q
+
+    monkeypatch.setattr(integral, "_scored", collected)
+    return quotients
 
 
 class TestFalsifier:
@@ -190,14 +206,7 @@ class TestFalsifier:
             assert a.trial == b.trial and a.quotient == b.quotient
 
     def test_stops_at_lowest_index_hit(self, monkeypatch):
-        original = integral.discrete_quotient
-        quotients = []
-
-        def counted(F, p, v):
-            quotients.append(original(F, p, v))
-            return quotients[-1]
-
-        monkeypatch.setattr(integral, "discrete_quotient", counted)
+        quotients = _collect_quotients(monkeypatch)
         t = np.sqrt(0.9)
         lame = pe.TensorField.constant(pe.lame_tensor(1.0, 1.0, 0.5, 2))
         hit = pe.falsify_integral(lame, 2.0 / (1.0 - t), trials=64, seed=13, N=17)
@@ -289,14 +298,7 @@ class TestFalsifierReference:
 
     @staticmethod
     def _run(F, p, trials, seed, N, monkeypatch):
-        original = integral.discrete_quotient
-        quotients = []
-
-        def counted(F, p, v):
-            quotients.append(original(F, p, v))
-            return quotients[-1]
-
-        monkeypatch.setattr(integral, "discrete_quotient", counted)
+        quotients = _collect_quotients(monkeypatch)
         hit = pe.falsify_integral(F, p, trials=trials, seed=seed, N=N)
         monkeypatch.undo()
         return hit, min(quotients)
@@ -320,6 +322,80 @@ class TestFalsifierReference:
             assert hit is not None and hit.trial == trial
             assert hit.quotient == got
             assert hit.quotient == pytest.approx(quotient, abs=1e-14)
+
+
+def _reference_cases():
+    """(field, p, trials, seed, N) of every TestFalsifierReference row."""
+    batch = make_batch(40, 5000)
+    for index, t, _, _ in REFERENCE["criterion_5"]:
+        yield pe.TensorField.constant(batch[index]), 2.0 / (1.0 - t), 100, 5, 33
+    for lam, mu, r, N, t, _, _ in REFERENCE["lame"]:
+        yield pe.TensorField.constant(pe.lame_tensor(lam, mu, r, 2)), 2.0 / (1.0 - t), 300, 3, N
+
+
+class TestChunkedTrials:
+    """The stacked chunks against one trial at a time: random_test_grid on
+    trial k's substream, scored by discrete_quotient, stopping at the first
+    non-positive quotient."""
+
+    def test_chunks_match_single_trial_scoring(self, monkeypatch):
+        for F, p, trials, seed, N in _reference_cases():
+            grids = []
+            quotients = _collect_quotients(monkeypatch, grids)
+            hit = pe.falsify_integral(F, p, trials=trials, seed=seed, N=N)
+            monkeypatch.undo()
+            single_hit = None
+            for k in range(trials):
+                grid = pe.random_test_grid(F.n, N, F.m, substream(seed, k), real=F.is_real)
+                q = pe.discrete_quotient(F, p, grid)
+                assert np.array_equal(grids[k], grid.values)
+                assert quotients[k] == pytest.approx(q, abs=1e-14)
+                if q <= 0.0:
+                    single_hit = k
+                    break
+            assert len(quotients) == k + 1
+            assert (hit is None) == (single_hit is None)
+            if hit is not None:
+                assert hit.trial == single_hit
+                assert np.array_equal(hit.grid.values, grids[-1])
+
+    def test_hit_draws_no_later_chunk(self, monkeypatch):
+        lam, mu, r, N, t, trial, _ = REFERENCE["lame"][0]
+        F = pe.TensorField.constant(pe.lame_tensor(lam, mu, r, 2))
+        p = 2.0 / (1.0 - t)
+        drawn = []
+
+        def counted(seed, k):
+            drawn.append(k)
+            return substream(seed, k)
+
+        monkeypatch.setattr(integral, "substream", counted)
+        short = pe.falsify_integral(F, p, trials=300, seed=3, N=N)
+        drawn.clear()
+        long = pe.falsify_integral(F, p, trials=10 ** 6, seed=3, N=N)
+        assert short.trial == long.trial == trial
+        assert short.quotient == long.quotient
+        size = integral._chunk_size(2, N, 2)
+        assert 1 < size < 300
+        assert drawn == list(range((trial // size + 1) * size))
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_unsupported_dimension_rejected_before_drawing(self, monkeypatch, n):
+        def no_draw(*args):
+            raise AssertionError("drew a grid")
+
+        monkeypatch.setattr(integral, "_draw_grids", no_draw)
+        F = pe.TensorField.constant(pe.CoefficientTensor.identity(n, 1))
+        with pytest.raises(InputError, match=r"n in \{2, 3\}"):
+            pe.falsify_integral(F, 3.0, trials=2)
+
+    def test_chunk_size_follows_the_lattice_budget(self):
+        assert integral._chunk_size(2, 33, 2) == 3
+        assert integral._chunk_size(2, 17, 2) == 14
+        assert integral._chunk_size(3, 65, 4) == 1
+        for n, N, m in itertools.product((2, 3), (8, 17, 33, 65), (1, 2, 3, 4)):
+            size = integral._chunk_size(n, N, m)
+            assert size == 1 or size * N ** n * m <= integral.CHUNK_BUDGET
 
 
 class TestExponentCheck:
