@@ -38,7 +38,6 @@ from .integral import (
 )
 from .lame import (
     AdmissibilityReport,
-    LameParams,
     LameSufficiency,
     OscillationReport,
     admissibility,

@@ -190,7 +190,6 @@ def _cmd_check(args) -> int:
         "lh_margin": lh.value,
         "strong_witness": _witness_json(strong.witness),
         "lh_witness": _witness_json(lh.witness),
-        "evaluations": strong.evaluations + lh.evaluations,
     }
     if A.m == 1:
         result["scalar_margin"] = scalar_p_margin(A, args.p)
@@ -206,6 +205,7 @@ def _cmd_check(args) -> int:
     _emit("check", {"input": args.input, "p": args.p,
                     "starts": args.starts, "field": args.field},
           args.seed, result, started,
+          evaluations=strong.evaluations + lh.evaluations,
           polish_steps={"strong": strong.polish_steps, "lh": lh.polish_steps})
     return code
 
@@ -286,11 +286,7 @@ def _cmd_solvability(args) -> int:
     if args.theorem == "extrapolation":
         if args.q is None or args.p0 is None:
             raise InputError("extrapolation needs --q and --p0")
-        try:
-            p0 = float(args.p0)
-        except ValueError:
-            raise InputError(f"--p0 must be a number or inf, got {args.p0!r}") from None
-        report = extrapolation_range(SolvabilityQuery(n=args.n, q=args.q, p0=p0))
+        report = extrapolation_range(SolvabilityQuery(n=args.n, q=args.q, p0=args.p0))
         result = report.as_dict()
     elif args.theorem == "homogenization":
         if args.q_strong is None:
@@ -316,7 +312,7 @@ def _cmd_solvability(args) -> int:
                 "theorem": "lame-corollary",
                 "p_up": _finite_or_inf(lame_dirichlet_upper(args.n, args.lam, args.mu)),
             }
-    _emit("solvability", {k: v for k, v in vars(args).items() if k != "func"},
+    _emit("solvability", {k: _finite_or_inf(v) for k, v in vars(args).items() if k != "func"},
           None, result, started)
     return EXIT_OK
 
@@ -403,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solv.add_argument("--n", type=int, required=True)
     p_solv.add_argument("--m", type=int, default=1)
     p_solv.add_argument("--q", type=float, default=None)
-    p_solv.add_argument("--p0", default=None)
+    p_solv.add_argument("--p0", type=float, default=None)
     p_solv.add_argument("--q-strong", type=float, default=None)
     p_solv.add_argument("--lambda", dest="lam", type=float, default=None)
     p_solv.add_argument("--mu", type=float, default=None)

@@ -32,8 +32,8 @@ The same assembly gives the ends of an admissible interval: per direction
 the first t on each side of 0 where S(t) = S0 + t S1 + t^2 S2 turns
 singular is a small eigenvalue solve, since S1 and S2 have low rank
 (``_FormProblem.thresholds``; 0 where S0 is not positive definite, which
-is the classical t = 0 condition), and ``threshold_ends`` searches directions
-with the same polish.
+is the classical t = 0 condition), and ``threshold_ends`` polishes both
+sides' best directions in one batch of the same polish.
 
 Test-field convention: real tensors are tested with real states and real
 directions, complex tensors with complex ones (``SearchConfig.test_field``
@@ -452,17 +452,15 @@ def minimize(problem: _FormProblem, fg, W: np.ndarray) -> PolishResult:
     return PolishResult(x=x, fun=f, nit=nit, nfev=nfev)
 
 
-def _search(problem: _FormProblem, cfg: SearchConfig, ts, extra_starts=()):
+def _search(problem: _FormProblem, cfg: SearchConfig, ts):
     """Margin search at every t of ts over the compact direction set: each t
-    ranks the seeded starts and polishes its best POLISHED plus every extra
-    start, all in one ``minimize`` with one t per row. Returns each t's best
-    polished row, the directions evaluated and the polish's batched steps."""
+    ranks the seeded starts and polishes its best POLISHED, all in one
+    ``minimize`` with one t per row. Returns each t's best polished row, the
+    directions evaluated and the polish's batched steps."""
     ts = np.asarray(ts, dtype=float)
     starts = _starts(cfg, cfg.outer_starts, problem.dim)
     ranked = problem.values(np.tile(starts, (len(ts), 1)), np.repeat(ts, len(starts)))
-    best = starts[np.argsort(ranked.reshape(len(ts), -1), axis=1)[:, :POLISHED]]
-    extra = np.reshape(np.asarray(extra_starts, dtype=float), (1, -1, problem.dim))
-    rows = np.concatenate([best, np.broadcast_to(extra, (len(ts), *extra.shape[1:]))], axis=1)
+    rows = starts[np.argsort(ranked.reshape(len(ts), -1), axis=1)[:, :POLISHED]]
     row_t = np.repeat(ts, rows.shape[1])
     res = minimize(problem, lambda W, live: problem.slope(W, row_t[live])[:2],
                    rows.reshape(-1, problem.dim))
@@ -471,9 +469,9 @@ def _search(problem: _FormProblem, cfg: SearchConfig, ts, extra_starts=()):
     return winners, ranked.size + res.nfev, res.nit
 
 
-def _minimize_directions(problem, cfg: SearchConfig, extra_starts=()) -> MarginResult:
+def _minimize_directions(problem, cfg: SearchConfig) -> MarginResult:
     """Margin search at cfg.t: ``_search`` on the one-point grid."""
-    winners, evaluations, nit = _search(problem, cfg, [cfg.t], extra_starts)
+    winners, evaluations, nit = _search(problem, cfg, [cfg.t])
     wit, _, value = problem.witness(winners[0], cfg.t)
     return MarginResult(value=value, witness=wit, evaluations=evaluations, polish_steps=nit)
 
@@ -487,45 +485,46 @@ def _make_problem(A: CoefficientTensor, kind: str, field_mode: str):
     raise InputError(f"unknown condition kind: {kind}")
 
 
-def strong_margin(A: CoefficientTensor, cfg: SearchConfig, extra_starts=()) -> MarginResult:
+def strong_margin(A: CoefficientTensor, cfg: SearchConfig) -> MarginResult:
     """Estimated inf over unit (xi, omega) of the strong form at cfg.t."""
-    problem = _make_problem(A, "strong", cfg.resolve_field(A))
-    return _minimize_directions(problem, cfg, extra_starts)
+    return _minimize_directions(_make_problem(A, "strong", cfg.resolve_field(A)), cfg)
 
 
-def lh_margin(A: CoefficientTensor, cfg: SearchConfig, extra_starts=()) -> MarginResult:
+def lh_margin(A: CoefficientTensor, cfg: SearchConfig) -> MarginResult:
     """Estimated inf over unit (eta, omega, q) of the direction-frozen form."""
-    problem = _make_problem(A, "lh", cfg.resolve_field(A))
-    return _minimize_directions(problem, cfg, extra_starts)
+    return _minimize_directions(_make_problem(A, "lh", cfg.resolve_field(A)), cfg)
 
 
 def threshold_ends(A: CoefficientTensor, kind: str, cfg: SearchConfig) -> tuple[float, float]:
     """(t_lo, t_hi): the first singular t on each side of 0 at the best
-    direction of one search per side, which estimates inf of t_hi(omega)
-    (sup of t_lo), so a miss leaves it too wide. Both sides share one batch
-    of 4 * outer_starts starts; if any start reads 0 (the classical t = 0
-    condition fails there) both ends are 0. Otherwise each side polishes its
-    own best POLISHED starts along the implicit-function gradient of the
-    threshold, -(d lambda/d omega) / (d lambda/dt) at (t*, x); ends at +-1
-    or 0 do not move.
+    direction found per side, which estimates inf of t_hi(omega) (sup of
+    t_lo), so a miss leaves it too wide. Both sides share one batch of
+    4 * outer_starts starts; if any start reads 0 (the classical t = 0
+    condition fails there) both ends are 0. Otherwise each side ranks the
+    batch by its own end, and one ``minimize`` polishes both sides' best
+    POLISHED starts along the implicit-function gradient of each row's end,
+    -(d lambda/d omega) / (d lambda/dt) at (t*, x); ends at +-1 or 0 do not
+    move. The polish minimizes t_hi and -t_lo.
     """
     problem = _make_problem(A, kind, cfg.resolve_field(A))
     starts = _starts(cfg, 4 * cfg.outer_starts, problem.dim)
     t_lo, t_hi = problem.thresholds(starts)
     if not t_hi.all():
         return 0.0, 0.0
+    best = np.concatenate([starts[np.argsort(-t_lo)[:POLISHED]],
+                           starts[np.argsort(t_hi)[:POLISHED]]])
+    sign = np.repeat([-1.0, 1.0], len(best) // 2)   # -1 on t_lo rows, 1 on t_hi rows
 
-    def search(side, values):
-        def fg(W, rows):
-            t = problem.thresholds(W)[side]
-            _, grad, dt = problem.slope(W, t)
-            moves = (np.abs(t) < 1.0) & (t != 0.0) & (dt != 0.0)
-            grad = np.where(moves[:, None], -grad / np.where(moves, dt, 1.0)[:, None], 0.0)
-            return (t, grad) if side else (-t, -grad)
+    def fg(W, rows):
+        lo, hi = problem.thresholds(W)
+        t = np.where(sign[rows] > 0.0, hi, lo)
+        _, grad, dt = problem.slope(W, t)
+        moves = (np.abs(t) < 1.0) & (t != 0.0) & (dt != 0.0)
+        grad = np.where(moves[:, None], -grad / np.where(moves, dt, 1.0)[:, None], 0.0)
+        return sign[rows] * t, sign[rows, None] * grad
 
-        return float(minimize(problem, fg, starts[np.argsort(values)[:POLISHED]]).fun.min())
-
-    return -search(0, -t_lo), search(1, t_hi)
+    fun = minimize(problem, fg, best).fun
+    return -float(fun[sign < 0.0].min()), float(fun[sign > 0.0].min())
 
 
 def scalar_p_margin(A: CoefficientTensor, p: float) -> float:

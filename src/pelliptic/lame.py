@@ -43,31 +43,6 @@ def _check_samples(lam: np.ndarray, mu: np.ndarray):
         raise InputError("every sample needs mu > 0 and lam + 2 mu > 0")
 
 
-@dataclass(frozen=True)
-class LameParams:
-    """Constant or sampled moduli; every sample must satisfy mu > 0 and
-    lam + 2 mu > 0."""
-
-    lam: np.ndarray
-    mu: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        if lam.shape != mu.shape:
-            raise InputError("lam and mu samples must share a shape")
-        _check_samples(lam, mu)
-        if self.n < 2:
-            raise InputError("dimension must be >= 2")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.lam.size == 1
-
-
 def lame_tensor(lam: float, mu: float, r: float, n: int) -> CoefficientTensor:
     """Elasticity tensor for the rewrite parameter r (m = n; r = 0 is the
     plain divergence form). Real and pairing-symmetric for all real r."""

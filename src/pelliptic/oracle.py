@@ -24,7 +24,6 @@ _STEP_LADDER = (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4)
 class OracleConfig:
     samples: int = 20000
     seed: int = 0
-    refine: bool = True
 
     def __post_init__(self):
         if self.samples < 1000:
@@ -106,9 +105,8 @@ def brute_margin(A: CoefficientTensor, t: float, kind: str, cfg: OracleConfig) -
         remaining -= count
     leaders.sort(key=lambda item: item[0])
     best_val = leaders[0][0]
-    if cfg.refine:
-        for val, point in leaders[:keep]:
-            best_val = min(best_val, _coordinate_descent(A, t, kind, point, val, real))
+    for val, point in leaders[:keep]:
+        best_val = min(best_val, _coordinate_descent(A, t, kind, point, val, real))
     return float(best_val)
 
 

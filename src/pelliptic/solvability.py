@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import InputError
 from .lame import sufficient_constant, SQRT8, _c_bounds, _check_moduli
-from .prange import PRange, t_of_p
 
 # dimension-independent worst-ratio constant 2/(1 - sqrt(8 sqrt2 - 11))
 ASYMPTOTIC_CONSTANT = 2.0 / (1.0 - math.sqrt(8.0 * math.sqrt(2.0) - 11.0))
@@ -34,13 +33,11 @@ _DISPLAY_NOTE = (
 
 @dataclass(frozen=True)
 class SolvabilityQuery:
-    """Inputs of the range upgrade; drift_bound only documents the
-    first-order smallness hypothesis, it does not enter the arithmetic."""
+    """Inputs of the range upgrade."""
 
     n: int
     q: float
     p0: float
-    drift_bound: float | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -49,8 +46,6 @@ class SolvabilityQuery:
             raise InputError("q must exceed 1")
         if not (self.p0 > 1.0 or self.p0 == math.inf):
             raise InputError("p0 must exceed 1 (or be inf)")
-        if self.drift_bound is not None and self.drift_bound < 0.0:
-            raise InputError("drift bound must be >= 0")
         if self.n >= 3 and self.p0 != math.inf:
             cap = self.p0 * (self.n - 1.0) / (self.n - 2.0)
             if not self.q < cap:
@@ -72,10 +67,6 @@ class SolvabilityReport:
             raise InputError("range lower endpoint must be >= 1")
         if self.p_hi < self.p_lo:
             raise InputError("range upper endpoint below lower endpoint")
-
-    @property
-    def range(self) -> PRange:
-        return PRange(t_of_p(self.p_lo), t_of_p(self.p_hi) if self.p_hi != math.inf else 1.0)
 
     def as_dict(self) -> dict:
         return {

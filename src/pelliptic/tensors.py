@@ -82,12 +82,6 @@ class CoefficientTensor:
             raise InputError("expected a square matrix")
         return CoefficientTensor(mat[:, :, None, None])
 
-    def as_matrix(self) -> np.ndarray:
-        """The n-by-n complex matrix view of an m=1 tensor."""
-        if self.m != 1:
-            raise InputError("as_matrix requires m = 1")
-        return self.entries[:, :, 0, 0].copy()
-
 
 @dataclass(frozen=True)
 class GradientState:

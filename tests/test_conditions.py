@@ -147,9 +147,9 @@ class TestMargins:
             assert res.value == pytest.approx(1 - t * t, abs=1e-8)
 
     def test_lh_dominates_strong(self):
-        # rank-one test states are a subset of the full test set; inject the
-        # lh witness direction into the strong search so a lucky lh search
-        # cannot land below a strong miss
+        # rank-one test states are a subset of the full test set, so the
+        # strong form's exact inner minimum at the lh witness direction
+        # cannot exceed the lh value
         for seed in range(100):
             n, m = 2 + seed % 2, 2 + (seed // 2) % 2
             style = "legendre-perturbed" if seed % 2 else "hermitian-positive"
@@ -157,12 +157,10 @@ class TestMargins:
             t = (-1) ** seed * (0.05 + 0.002 * seed)
             cfg = pe.SearchConfig(t=t, seed=4, outer_starts=24)
             lh = pe.lh_margin(A, cfg)
-            coords = np.concatenate([
-                np.real(lh.witness.omega.components),
-                np.imag(lh.witness.omega.components),
-            ])
-            strong = pe.strong_margin(A, cfg, extra_starts=[coords])
-            assert lh.value >= strong.value - 1e-8
+            omega = lh.witness.omega.components
+            coords = np.concatenate([np.real(omega), np.imag(omega)])
+            strong = conditions._make_problem(A, "strong", cfg.resolve_field(A))
+            assert strong.values(coords[None], t)[0] <= lh.value + 1e-8
 
     def test_lame_lh_threshold_matches_necessary_bound(self):
         A = pe.lame_tensor(1.0, 1.0, 0.5, 2)
@@ -349,6 +347,30 @@ def _bb_minimize(problem, fg, W):
     return conditions.PolishResult(x=x, fun=f, nit=nit, nfev=nfev)
 
 
+def _two_polish_threshold_ends(A, kind, cfg):
+    """``threshold_ends`` as it was before both sides shared one polish, kept
+    as the differential test's reference: each side ran its own
+    ``minimize`` of its best POLISHED starts."""
+    problem = conditions._make_problem(A, kind, cfg.resolve_field(A))
+    starts = conditions._starts(cfg, 4 * cfg.outer_starts, problem.dim)
+    t_lo, t_hi = problem.thresholds(starts)
+    if not t_hi.all():
+        return 0.0, 0.0
+
+    def search(side, values):
+        def fg(W, rows):
+            t = problem.thresholds(W)[side]
+            _, grad, dt = problem.slope(W, t)
+            moves = (np.abs(t) < 1.0) & (t != 0.0) & (dt != 0.0)
+            grad = np.where(moves[:, None], -grad / np.where(moves, dt, 1.0)[:, None], 0.0)
+            return (t, grad) if side else (-t, -grad)
+
+        best = starts[np.argsort(values)[:conditions.POLISHED]]
+        return float(conditions.minimize(problem, fg, best).fun.min())
+
+    return -search(0, -t_lo), search(1, t_hi)
+
+
 class TestPolishReference:
     """The BFGS polish against the Barzilai-Borwein one it replaced and
     against oracle.brute_margin, on a fixed generated batch of real and
@@ -379,6 +401,15 @@ class TestPolishReference:
         old = [conditions.threshold_ends(A, kind, cfg) for A in self.BATCH]
         for (lo, hi), (ref_lo, ref_hi) in zip(new, old):
             assert lo >= ref_lo - 1e-9 and hi <= ref_hi + 1e-9
+
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    @pytest.mark.parametrize("test_field", ["real", "complex"])
+    def test_threshold_ends_match_two_polishes(self, kind, test_field):
+        # rows never interact inside minimize, so polishing both sides in
+        # one batch leaves every end bit-identical
+        cfg = pe.SearchConfig(seed=3, test_field=test_field)
+        for A in self.BATCH:
+            assert conditions.threshold_ends(A, kind, cfg) == _two_polish_threshold_ends(A, kind, cfg)
 
     @pytest.mark.parametrize("kind, test_field, cap", [
         ("lh", "real", 60), ("lh", "complex", 60),

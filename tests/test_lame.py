@@ -50,12 +50,6 @@ class TestLameTensor:
         with pytest.raises(InputError):
             pe.lame_tensor(-2.5, 1.0, 0.0, 2)
 
-    def test_params_validation(self):
-        with pytest.raises(InputError):
-            pe.LameParams(lam=[1.0, -3.0], mu=[1.0, 1.0], n=2)
-        p = pe.LameParams(lam=[1.0, 0.5], mu=[1.0, 1.0], n=3)
-        assert not p.is_constant
-
 
 class TestSufficientConstant:
     def test_n2_unit_moduli(self):

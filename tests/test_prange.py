@@ -97,6 +97,21 @@ class TestConditionRange:
         assert not r.empty
         assert r.t_lo < 0.0 < r.t_hi
 
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    def test_nonempty_range_runs_one_polish(self, monkeypatch, kind):
+        # both ends are polished in one batch
+        A = pe.random_elliptic_tensor(2, 2, "legendre-perturbed", seed=7)
+        polishes = []
+        minimize = conditions.minimize
+
+        def counted_minimize(*args, **kwargs):
+            polishes.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(conditions, "minimize", counted_minimize)
+        assert not pe.condition_range(A, kind, pe.SearchConfig(seed=1)).empty
+        assert polishes == [1]
+
     def test_lh_range_contains_strong_range(self):
         A = pe.random_elliptic_tensor(2, 2, "legendre-perturbed", seed=6)
         cfg = pe.SearchConfig(seed=5)
