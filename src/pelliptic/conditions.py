@@ -19,21 +19,23 @@ with G a pairing matrix (of A, or of M_q for the direction-frozen form) and
 Pi = V V^T the projection onto the direction, V an orthonormal basis of
 its range. One assembly builds S(t) for both searches, so the inner
 infimum is the smallest eigenvalue of S(t); only the compact direction set
-needs a global search: seeded multistart, then one batched quasi-Newton
-(BFGS) polish (``minimize``) of the best starts, whose gradients come from
-the lowest eigenvector (``_FormProblem.slope``). The reported value is
-therefore an upper bound on the true infimum and results carry
-``certified=False``. At a fixed witness the form is an exact parabola in t,
-read off the lowest eigenvector; ``margin_curve`` polishes every t of its
-grid in one batch and bounds each point by the parabolas of all the grid's
-witnesses.
+needs a global search: seeded multistart, then one batched Riemannian
+Newton polish (``minimize``) of the best starts, whose gradients and exact
+Hessians come from the eigendecomposition of S(t) by eigenvalue
+perturbation (``_FormProblem.curvature``; Overton & Womersley 1995). The
+reported value is therefore an upper bound on the true infimum and results
+carry ``certified=False``. At a fixed witness the form is an exact parabola
+in t, read off the lowest eigenvector; ``margin_curve`` polishes every t of
+its grid in one batch and bounds each point by the parabolas of all the
+grid's witnesses.
 
 The same assembly gives the ends of an admissible interval: per direction
 the first t on each side of 0 where S(t) = S0 + t S1 + t^2 S2 turns
 singular is a small eigenvalue solve, since S1 and S2 have low rank
 (``_FormProblem.thresholds``; 0 where S0 is not positive definite, which
 is the classical t = 0 condition), and ``threshold_ends`` polishes both
-sides' best directions in one batch of the same polish.
+sides' best directions in one batch of the same polish, with the
+implicit-function derivatives of each end (``_end_derivatives``).
 
 Test-field convention: real tensors are tested with real states and real
 directions, complex tensors with complex ones (``SearchConfig.test_field``
@@ -222,6 +224,7 @@ class _FormProblem:
 
     A subclass supplies the pairing G and the direction basis V (Pi = V V^T)
     of a batch of normalized candidate directions (``_operands``), the
+    constant dV/dw of the leading direction coordinates (``_E``), the
     candidate length ``dim`` and the columns where a candidate splits into
     separately normalized unit blocks (``splits``), and the witness built
     from an eigenvector (``_make_witness``).
@@ -233,6 +236,8 @@ class _FormProblem:
         self.entries = A.entries.real.astype(complex) if parts == 1 else A.entries
         self._block_starts = [0, *splits]
         self._block_sizes = np.diff([0, *splits, dim])
+        block = np.repeat(np.arange(len(self._block_sizes)), self._block_sizes)
+        self._same_block = block[:, None] == block[None, :]
 
     def _block_sums(self, P: np.ndarray) -> np.ndarray:
         """Row sums of P over each unit block, repeated across the block."""
@@ -264,36 +269,88 @@ class _FormProblem:
         Pi = V @ V.transpose(0, 2, 1)
         return _eigvalsh_batch(_strong_matrices(G, Pi, np.reshape(t, (-1, 1, 1))))[:, 0]
 
-    def _lowest(self, W: np.ndarray, t):
-        """lambda_min of S(t), its eigenvector x, y = Pi x, G and V per normalized row."""
+    def _eig(self, W: np.ndarray, t):
+        """Eigenvalues and eigenvectors of S(t), Pi, G and V per normalized row."""
         G, V = self._operands(W)
         Pi = V @ V.transpose(0, 2, 1)
         lam, vecs = np.linalg.eigh(_strong_matrices(G, Pi, np.reshape(t, (-1, 1, 1))))
-        x = vecs[..., 0]
-        return lam[:, 0], x, np.einsum("bij,bj->bi", Pi, x), np.broadcast_to(G, Pi.shape), V
+        return lam, vecs, Pi, G, V
 
-    def slope(self, W: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """lambda_min of S(t), its gradient in W and its t-derivative, per
-        normalized row of W; t is a scalar or one value per row.
+    def curvature(self, W: np.ndarray, t):
+        """lambda_min of S(t), its gradient and Hessian in the coordinates
+        (W, t), t last, and max |lambda| per row of W; V is linear in W, so
+        the rows are taken as they are. t is a scalar or one value per row.
 
-        With a = x + t y and b = x - t y, lambda = a.G b, so d lambda/dt =
-        y.(G - G^T) x - 2t y.G y. The direction moves lambda through
-        y = sum_h (V_h.x) V_h against the weight t (G b - G^T a); the
-        direction-frozen q moves it through G (``_gradient``).
-        """
-        lam, x, y, G, V = self._lowest(W, t)
-        t = np.reshape(t, (-1, 1))
+        With x = x_0, ..., x_k the eigenvectors of S, the Hessian is that of
+        phi = x.S x at frozen x plus 2 sum_{k>=1} (x_k.S_i x)(x_k.S_j x) /
+        (lambda_0 - lambda_k) over the gaps above 1e-9 max |lambda| (a
+        double lambda_min, as on complex direction-frozen rows at t = 0,
+        leaves its partner's numerators at zero). With N = skew(G),
+        S0 = sym(G), y = Pi x, v = N x - t S0 y and u = t v, phi = x.S0 x +
+        2t v.y + t^2 y.S0 y; a direction coordinate i moves y by
+        Dy_i = E_i V^T x + V E_i^T x (E = dV/dw, ``_E``), and the frequency
+        coordinates of the direction-frozen form move G
+        (``_frequency_terms``)."""
+        lam, X, Pi, G, V = self._eig(W, t)
+        B, d = X.shape[:2]
+        t = np.broadcast_to(np.reshape(t, (-1, 1)), (B, 1))
+        t3 = t[:, :, None]
+        Gt = np.swapaxes(G, -1, -2)
+        N = np.broadcast_to(0.5 * (G - Gt), (B, d, d))
+        S0 = np.broadcast_to(0.5 * (G + Gt), (B, d, d))
+        x = X[..., 0]
+        y = np.einsum("bij,bj->bi", Pi, x)
         a, b = x + t * y, x - t * y
-        Gb, aG = np.einsum("bij,bj->bi", G, b), np.einsum("bi,bij->bj", a, G)
-        weight = t * (Gb - aG)
-        blocks = (len(W), self.parts, V.shape[-1], self.m)
-        grad = (np.einsum("bphm,bh->bpm", weight.reshape(blocks), np.einsum("bdh,bd->bh", V, x))
-                + np.einsum("bphm,bh->bpm", x.reshape(blocks), np.einsum("bdh,bd->bh", V, weight)))
-        dt = np.sum(y * Gb, axis=1) - np.sum(aG * y, axis=1)
-        return lam, self._gradient(W, grad.reshape(len(W), -1), a, b), dt
+        S0y = np.einsum("bij,bj->bi", S0, y)
+        v = np.einsum("bij,bj->bi", N, x) - t * S0y
+        u = t * v
+        Ex, Eu = np.einsum("idk,bd->bik", self._E, x), np.einsum("idk,bd->bik", self._E, u)
+        Vx, Vu = np.einsum("bdk,bd->bk", V, x), np.einsum("bdk,bd->bk", V, u)
+        Dy = np.einsum("idk,bk->bid", self._E, Vx) + np.einsum("bdk,bik->bid", V, Ex)
+        S0Dy = np.einsum("bij,bpj->bpi", S0, Dy)
+        # S_i x = dPi_i u - t N Dy_i - t^2 Pi S0 Dy_i, S_t x = Pi (v - t S0 y) - N y
+        s_dir = (np.einsum("idk,bk->bid", self._E, Vu) + np.einsum("bdk,bik->bid", V, Eu)
+                 - t3 * np.einsum("bij,bpj->bpi", N, Dy)
+                 - t3 * t3 * np.einsum("bij,bpj->bpi", Pi, S0Dy))
+        s_t = np.einsum("bij,bj->bi", Pi, v - t * S0y) - np.einsum("bij,bj->bi", N, y)
+        dGb, dGta, H_qq = self._frequency_terms(W, a, b)
+        Z = dGb - dGta
+        s_q = 0.5 * (dGb + dGta + t3 * np.einsum("bij,bqj->bqi", Pi, Z))
+        s = np.concatenate([s_dir, s_q, s_t[:, None]], axis=1)
+        grad = np.concatenate([2.0 * np.sum(Dy * u[:, None], axis=2),
+                               np.sum(dGb * a[:, None], axis=2),
+                               2.0 * np.sum(y * v, axis=1, keepdims=True)], axis=1)
+        cross = np.einsum("bik,bjk->bij", Eu, Ex)
+        H_dd = 2.0 * (cross + cross.transpose(0, 2, 1)) - 2.0 * t3 * t3 * np.einsum(
+            "bid,bjd->bij", Dy, S0Dy)
+        H_dq = t3 * np.einsum("bid,bqd->biq", Dy, Z)
+        H_dt = 2.0 * np.sum(Dy * (v - t * S0y)[:, None], axis=2)[:, :, None]
+        H_qt = np.sum(Z * y[:, None], axis=2)[:, :, None]
+        H_tt = -2.0 * np.sum(y * S0y, axis=1)[:, None, None]
+        H = np.concatenate([
+            np.concatenate([H_dd, H_dq, H_dt], axis=2),
+            np.concatenate([H_dq.transpose(0, 2, 1), H_qq, H_qt], axis=2),
+            np.concatenate([H_dt.transpose(0, 2, 1), H_qt.transpose(0, 2, 1), H_tt], axis=2)],
+            axis=1)
+        scale = np.abs(lam).max(axis=1)
+        gap = lam[:, 1:] - lam[:, :1]
+        inv = np.divide(-2.0, gap, out=np.zeros_like(gap), where=gap > 1e-9 * scale[:, None])
+        C = np.einsum("bdk,bjd->bkj", X[:, :, 1:], s)
+        H += np.einsum("bkj,bk,bkl->bjl", C, inv, C)
+        return lam[:, 0], grad, H, scale
 
-    def _gradient(self, W, grad, a, b):
-        return grad
+    def _frequency_terms(self, W, a, b):
+        """dG/dq b, dG/dq^T a and a.(d^2 G/dq^2) b for the coordinates that
+        move G; the strong form has none."""
+        empty = np.zeros((len(W), 0, a.shape[1]))
+        return empty, empty, np.zeros((len(W), 0, 0))
+
+    def _riemannian(self, W: np.ndarray, g: np.ndarray, H: np.ndarray):
+        """Riemannian gradient and Hessian on the product of unit spheres at
+        the normalized rows W, from the Euclidean g and H: P g and
+        P H P - (w_b.g_b) P_b on each block b, P the tangent projection."""
+        P = np.eye(self.dim) - self._same_block * (W[:, :, None] * W[:, None, :])
+        return self._tangent(W, g), P @ H @ P - self._block_sums(W * g)[:, :, None] * P
 
     def witness(self, w: np.ndarray, t) -> tuple[Witness, tuple, float]:
         """Witness, exact parabola and lambda_min of S(t) at direction w.
@@ -303,11 +360,12 @@ class _FormProblem:
         a0 = x.Gx, a1 = y.Gx - x.Gy and a2 = -y.Gy.
         """
         W = self._normalize(w[None])
-        lam, x, y, G, _ = self._lowest(W, t)
-        x, y, G = x[0], y[0], G[0]
+        lam, X, Pi, G, _ = self._eig(W, t)
+        x = X[0, :, 0]
+        y, G = Pi[0] @ x, np.broadcast_to(G, Pi.shape)[0]
         Gx, Gy = G @ x, G @ y
         parabola = (float(x @ Gx), float(y @ Gx - x @ Gy), float(-(y @ Gy)))
-        return self._make_witness(x, W[0]), parabola, float(lam[0])
+        return self._make_witness(x, W[0]), parabola, float(lam[0, 0])
 
     def thresholds(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(t_lo, t_hi): first t on each side of 0 where S(t) is singular.
@@ -340,6 +398,7 @@ class _StrongProblem(_FormProblem):
     def __init__(self, A: CoefficientTensor, parts: int):
         super().__init__(A, parts, parts * A.m)
         self.G = _pairing_matrix(self.entries, parts)
+        self._E = _direction_basis(np.eye(self.dim), self.n, parts, self.m)
         self._G_split = super()._split(self.G)
 
     def _split(self, G):
@@ -363,6 +422,7 @@ class _LHProblem(_FormProblem):
     def __init__(self, A: CoefficientTensor, parts: int):
         super().__init__(A, parts, parts * A.m + A.n, (parts * A.m,))
         self.G_blocks = _pairing_matrix(self.entries[:, :, None, None], parts)
+        self._E = _direction_basis(np.eye(parts * A.m), 1, parts, A.m)
 
     def _operands(self, W):
         pm = self.parts * self.m
@@ -370,11 +430,16 @@ class _LHProblem(_FormProblem):
         return (np.einsum("hkij,Bh,Bk->Bij", self.G_blocks, Q, Q),
                 _direction_basis(W[:, :pm], 1, self.parts, self.m))
 
-    def _gradient(self, W, grad, a, b):
-        """Append the q part (T + T^T) q, T_hk = a.G_hk b."""
-        T = np.einsum("hkij,bi,bj->bhk", self.G_blocks, a, b)
-        T = T + T.transpose(0, 2, 1)
-        return np.hstack([grad, np.einsum("bhk,bk->bh", T, W[:, self.splits[0]:])])
+    def _frequency_terms(self, W, a, b):
+        """With G = sum_hk q_h q_k G_hk: dG/dq_h = sum_k q_k (G_hk + G_kh)
+        and d^2 G/dq_h dq_k = G_hk + G_kh."""
+        Q = W[:, self.splits[0]:]
+        Gb = np.einsum("hkij,bj->bhki", self.G_blocks, b)
+        aG = np.einsum("hkij,bi->bhkj", self.G_blocks, a)
+        T = np.einsum("bhki,bi->bhk", Gb, a)
+        return (np.einsum("bhki,bk->bhi", Gb, Q) + np.einsum("bkhi,bk->bhi", Gb, Q),
+                np.einsum("bhkj,bk->bhj", aG, Q) + np.einsum("bkhj,bk->bhj", aG, Q),
+                T + T.transpose(0, 2, 1))
 
     def _make_witness(self, x, w) -> Witness:
         pm = self.parts * self.m
@@ -392,62 +457,55 @@ class PolishResult:
     nfev: int
 
 
+def _newton(problem: _FormProblem, fg, x: np.ndarray, rows: np.ndarray):
+    """Values, tangent gradients and Newton steps at the normalized rows x:
+    d = -|H|^-1 g with H the Riemannian Hessian, each eigenvalue mu of it
+    replaced by max(|mu|, 1e-6 scale), and d shortened to length 1 at most."""
+    f, g, H, scale = fg(x, rows)
+    g, H = problem._riemannian(x, g, H)
+    mu, Q = np.linalg.eigh(H)
+    mu = np.maximum(np.abs(mu), 1e-6 * scale[:, None])
+    Qg = np.einsum("bji,bj->bi", Q, g)
+    d = problem._tangent(x, -np.einsum(
+        "bij,bj->bi", Q, np.divide(Qg, mu, out=np.zeros_like(Qg), where=mu > 0.0)))
+    return f, g, d / np.maximum(1.0, np.sqrt(np.sum(d * d, axis=1, keepdims=True)))
+
+
 def minimize(problem: _FormProblem, fg, W: np.ndarray) -> PolishResult:
-    """Batched Riemannian BFGS from every row of W (Huang, Gallivan & Absil,
-    2015), retracted by ``problem._normalize``. Each row keeps an
-    inverse-Hessian estimate H in ambient coordinates and steps along
-    d = -tangent(H g), or -g where that is no descent direction (H = 0
-    until the first update), trying the unit step first and halving it
-    until the Armijo condition holds. An accepted step s with
-    y = g+ - tangent+(g) (transport by projection) updates H by the BFGS
-    formula when s.y > 0, the first update starting from (s.y / y.y) I;
-    otherwise the row is concave along s, H stays and the next try doubles
-    the step length. fg(X, rows) gives the values and Euclidean gradients at
-    the normalized rows X, which are the rows ``rows`` (indices into W) of
-    the batch, so a row may carry its own t. A row stops once an accepted
-    step gains less than 1e-13 relative, once its step underflows, or after
-    POLISH_STEPS steps. Rows never interact, so each ends where it would if
-    polished alone."""
+    """Batched Riemannian Newton polish from every row of W on the product
+    of ``problem``'s unit spheres (Absil, Mahony & Sepulchre 2008),
+    retracted by ``problem._normalize``. fg(X, rows) gives the values,
+    Euclidean gradients and Hessians at the normalized rows X, which are
+    the rows ``rows`` (indices into W) of the batch, so a row may carry its
+    own t, and each row's scale (max |lambda|), below 1e-6 of which a
+    Hessian eigenvalue counts as flat (``_newton``). A row steps along
+    d = -|H|^-1 g, trying the unit step first and halving it until the
+    Armijo condition holds. A row stops once the decrease -g.d/2 predicted
+    for its step is at most 1e-13 |f| (that step evaluates no trial but
+    counts), once an accepted step gains less than 1e-13 relative, once its
+    step underflows, or after POLISH_STEPS steps. Rows never interact, so
+    each ends where it would if polished alone."""
     x = problem._normalize(np.asarray(W, dtype=float))
     live = np.arange(len(x))
-    f, g = fg(x, live)
-    g = problem._tangent(x, g)
-    H = np.zeros((*x.shape, x.shape[1]))
+    f, g, d = _newton(problem, fg, x, live)
     step = np.ones(len(x))
     nit, nfev = 0, len(x)
     while live.size and nit < POLISH_STEPS:
         nit += 1
-        gl = g[live]
-        d = -problem._tangent(x[live], np.einsum("bij,bj->bi", H[live], gl))
-        slope = np.sum(d * gl, axis=1)
-        steep = ~(slope < 0.0)
-        d[steep], slope[steep] = -gl[steep], -np.sum(gl[steep] ** 2, axis=1)
-        trial = problem._normalize(x[live] + step[live, None] * d)
-        ft, gt = fg(trial, live)
-        gt = problem._tangent(trial, gt)
+        slope = np.sum(g[live] * d[live], axis=1)
+        moving = -0.5 * slope > 1e-13 * np.abs(f[live])
+        live, slope = live[moving], slope[moving]
+        if not live.size:
+            break
+        trial = problem._normalize(x[live] + step[live, None] * d[live])
+        ft, gt, dt = _newton(problem, fg, trial, live)
         nfev += live.size
         ok = ft <= f[live] + 1e-4 * step[live] * slope
         done = np.where(ok, f[live] - ft <= 1e-13 * np.abs(ft),
-                        0.5 * step[live] * np.sqrt(np.sum(d * d, axis=1)) < 1e-15)
-        step[live[~ok]] *= 0.5
-        go = ok & ~done   # accepted rows that step on
-        if go.any():
-            acc = live[go]
-            s, y = trial[go] - x[acc], gt[go] - problem._tangent(trial[go], g[acc])
-            sy = np.sum(s * y, axis=1)
-            up = sy > 0.0
-            step[acc[~up]] *= 2.0
-            acc, s, y, sy = acc[up], s[up], y[up], sy[up]
-            step[acc] = 1.0
-            fresh = ~H[acc].any(axis=(1, 2))
-            H[acc[fresh]] = (sy / np.sum(y * y, axis=1))[fresh, None, None] * np.eye(x.shape[1])
-            Hy = np.einsum("bij,bj->bi", H[acc], y)
-            rho = 1.0 / sy[:, None, None]
-            ss, sHy = s[:, :, None] * s[:, None, :], s[:, :, None] * Hy[:, None, :]
-            H[acc] += rho * ((1.0 + rho * np.sum(y * Hy, axis=1)[:, None, None]) * ss
-                             - sHy - sHy.transpose(0, 2, 1))
+                        0.5 * step[live] * np.sqrt(np.sum(d[live] ** 2, axis=1)) < 1e-15)
+        step[live] = np.where(ok, 1.0, 0.5 * step[live])
         acc = live[ok]
-        x[acc], f[acc], g[acc] = trial[ok], ft[ok], gt[ok]
+        x[acc], f[acc], g[acc], d[acc] = trial[ok], ft[ok], gt[ok], dt[ok]
         live = live[~done]
     return PolishResult(x=x, fun=f, nit=nit, nfev=nfev)
 
@@ -462,8 +520,12 @@ def _search(problem: _FormProblem, cfg: SearchConfig, ts):
     ranked = problem.values(np.tile(starts, (len(ts), 1)), np.repeat(ts, len(starts)))
     rows = starts[np.argsort(ranked.reshape(len(ts), -1), axis=1)[:, :POLISHED]]
     row_t = np.repeat(ts, rows.shape[1])
-    res = minimize(problem, lambda W, live: problem.slope(W, row_t[live])[:2],
-                   rows.reshape(-1, problem.dim))
+
+    def fg(W, live):
+        lam, grad, hess, scale = problem.curvature(W, row_t[live])
+        return lam, grad[:, :-1], hess[:, :-1, :-1], scale
+
+    res = minimize(problem, fg, rows.reshape(-1, problem.dim))
     fun = res.fun.reshape(rows.shape[:2])
     winners = res.x.reshape(rows.shape)[np.arange(len(ts)), np.argmin(fun, axis=1)]
     return winners, ranked.size + res.nfev, res.nit
@@ -495,6 +557,23 @@ def lh_margin(A: CoefficientTensor, cfg: SearchConfig) -> MarginResult:
     return _minimize_directions(_make_problem(A, "lh", cfg.resolve_field(A)), cfg)
 
 
+def _end_derivatives(problem: _FormProblem, W: np.ndarray, t: np.ndarray):
+    """Gradient and Hessian in W of the end tau(W) with lambda(W, tau) = 0,
+    at the normalized rows W and their ends t, and max |lambda|:
+    g = -grad lambda / lambda_t and H = -(hess lambda + m g^T + g m^T +
+    lambda_tt g g^T) / lambda_t with m = d/dt grad lambda. Ends at +-1 or
+    0, or where lambda_t = 0, do not move: g = 0 and H = 0."""
+    _, grad, hess, scale = problem.curvature(W, t)
+    lt = grad[:, -1]
+    moves = (np.abs(t) < 1.0) & (t != 0.0) & (lt != 0.0)
+    lt = np.where(moves, lt, 1.0)
+    g = np.where(moves[:, None], -grad[:, :-1] / lt[:, None], 0.0)
+    m = hess[:, :-1, -1, None] * g[:, None]
+    H = -(hess[:, :-1, :-1] + m + m.transpose(0, 2, 1)
+          + hess[:, -1:, -1:] * g[:, :, None] * g[:, None]) / lt[:, None, None]
+    return g, np.where(moves[:, None, None], H, 0.0), scale
+
+
 def threshold_ends(A: CoefficientTensor, kind: str, cfg: SearchConfig) -> tuple[float, float]:
     """(t_lo, t_hi): the first singular t on each side of 0 at the best
     direction found per side, which estimates inf of t_hi(omega) (sup of
@@ -502,9 +581,9 @@ def threshold_ends(A: CoefficientTensor, kind: str, cfg: SearchConfig) -> tuple[
     4 * outer_starts starts; if any start reads 0 (the classical t = 0
     condition fails there) both ends are 0. Otherwise each side ranks the
     batch by its own end, and one ``minimize`` polishes both sides' best
-    POLISHED starts along the implicit-function gradient of each row's end,
-    -(d lambda/d omega) / (d lambda/dt) at (t*, x); ends at +-1 or 0 do not
-    move. The polish minimizes t_hi and -t_lo.
+    POLISHED starts, with the implicit-function gradient and Hessian of each
+    row's end (``_end_derivatives``); ends at +-1 or 0 do not move. The
+    polish minimizes t_hi and -t_lo.
     """
     problem = _make_problem(A, kind, cfg.resolve_field(A))
     starts = _starts(cfg, 4 * cfg.outer_starts, problem.dim)
@@ -518,10 +597,9 @@ def threshold_ends(A: CoefficientTensor, kind: str, cfg: SearchConfig) -> tuple[
     def fg(W, rows):
         lo, hi = problem.thresholds(W)
         t = np.where(sign[rows] > 0.0, hi, lo)
-        _, grad, dt = problem.slope(W, t)
-        moves = (np.abs(t) < 1.0) & (t != 0.0) & (dt != 0.0)
-        grad = np.where(moves[:, None], -grad / np.where(moves, dt, 1.0)[:, None], 0.0)
-        return sign[rows] * t, sign[rows, None] * grad
+        g, H, scale = _end_derivatives(problem, W, t)
+        s = sign[rows]
+        return s * t, s[:, None] * g, s[:, None, None] * H, scale
 
     fun = minimize(problem, fg, best).fun
     return -float(fun[sign < 0.0].min()), float(fun[sign > 0.0].min())

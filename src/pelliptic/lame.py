@@ -234,8 +234,8 @@ def admissibility(lam, mu, mu0: float) -> AdmissibilityReport:
     For sampled moduli the Poisson predicate uses the worst (largest) ratio;
     it is reported as undefined when lam + mu = 0 anywhere.
     """
-    if not mu0 > 0.0:
-        raise InputError("mu0 must be positive")
+    if not (mu0 > 0.0 and math.isfinite(mu0)):
+        raise InputError("mu0 must be positive and finite")
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if lam.shape != mu.shape:

@@ -42,8 +42,8 @@ class SolvabilityQuery:
     def __post_init__(self):
         if self.n < 2:
             raise InputError("dimension must be >= 2")
-        if not self.q > 1.0:
-            raise InputError("q must exceed 1")
+        if not (self.q > 1.0 and math.isfinite(self.q)):
+            raise InputError("q must be finite and exceed 1")
         if not (self.p0 > 1.0 or self.p0 == math.inf):
             raise InputError("p0 must exceed 1 (or be inf)")
         if self.n >= 3 and self.p0 != math.inf:

@@ -278,6 +278,45 @@ class TestContracts:
             payload2["result"], sort_keys=True
         )
 
+    # one valid call per subcommand and theorem, and the float options it reads
+    _INF_CALLS = [
+        (("check", "{lame}", "--p", "3"), ("--p",)),
+        (("falsify", "{lame}", "--p", "3", "--trials", "2", "--points", "9"), ("--p",)),
+        (("lame", "--n", "3", "--lambda", "1", "--mu", "1"), ("--lambda", "--mu", "--mu0")),
+        (("solvability", "--theorem", "extrapolation", "--n", "2", "--q", "2", "--p0", "3"),
+         ("--q", "--p0")),
+        (("solvability", "--theorem", "homogenization", "--n", "2", "--q-strong", "3"),
+         ("--q-strong",)),
+        (("solvability", "--theorem", "lame-corollary", "--n", "3", "--lambda", "1", "--mu", "1"),
+         ("--lambda", "--mu")),
+    ]
+
+    def test_inf_calls_cover_every_float_option(self):
+        subparsers = next(a for a in build_parser()._actions if a.choices and "check" in a.choices)
+        floats = {(name, opt) for name, sub in subparsers.choices.items()
+                  for a in sub._actions if a.type is float for opt in a.option_strings}
+        covered = {(argv[0], opt) for argv, options in self._INF_CALLS for opt in options}
+        assert covered == floats
+
+    @pytest.mark.parametrize("argv, option", [(argv, opt) for argv, options in _INF_CALLS
+                                              for opt in options])
+    def test_inf_option_exits_two_or_prints_standard_json(self, capsys, lame_file, argv, option):
+        argv = [lame_file if a == "{lame}" else a for a in argv]
+        if option in argv:
+            argv[argv.index(option) + 1] = "inf"
+        else:
+            argv += [option, "inf"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+            return
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        json.loads(captured.out, parse_constant=reject)
+
     def test_cached_parser_matches_fresh_parser(self, capsys, identity_file, lame_file):
         # one process runs the commands in turn on the parser it built once;
         # each gives what a freshly built parser gives

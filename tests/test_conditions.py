@@ -261,9 +261,18 @@ class TestThresholds:
         assert checked > 0
 
 
+def _margin_fg(problem, t):
+    """The fg of a margin polish at t: lambda_min of S(t) and its gradient
+    and Hessian in W (``_search``)."""
+    def fg(W, rows):
+        lam, grad, hess, scale = problem.curvature(W, t)
+        return lam, grad[:, :-1], hess[:, :-1, :-1], scale
+    return fg
+
+
 class TestSlope:
-    """slope's value, W-gradient and t-derivative against central
-    differences along tangent directions of the unit blocks."""
+    """curvature's value, gradient and Hessian in (W, t), and the range
+    ends' derivatives, against central differences."""
 
     @pytest.mark.parametrize("kind", ["strong", "lh"])
     @pytest.mark.parametrize("test_field", ["real", "complex"])
@@ -275,22 +284,116 @@ class TestSlope:
         W = problem._normalize(rng.standard_normal((5, problem.dim)))
         D = problem._tangent(W, rng.standard_normal(W.shape))
         t = rng.uniform(-0.6, 0.6, 5)
-        lam, grad, dt = problem.slope(W, t)
+        lam, grad, _, _ = problem.curvature(W, t)
+        grad, dt = grad[:, :-1], grad[:, -1]
         per_row = problem.values(W, t)
         for i in range(5):
             assert per_row[i] == problem.values(W[i : i + 1], t[i])[0]
         np.testing.assert_allclose(lam, per_row, rtol=0, atol=1e-12)
 
         def value(W, t):
-            return problem.slope(problem._normalize(W), t)[0]
+            return problem.curvature(problem._normalize(W), t)[0]
 
         h = 1e-6
         along = (value(W + h * D, t) - value(W - h * D, t)) / (2 * h)
         np.testing.assert_allclose(np.sum(grad * D, axis=1), along, rtol=0, atol=1e-7)
         np.testing.assert_allclose(dt, (value(W, t + h) - value(W, t - h)) / (2 * h), rtol=0, atol=1e-7)
 
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    @pytest.mark.parametrize("test_field", ["real", "complex"])
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 3)])
+    def test_hessian_central_differences(self, kind, test_field, n, m):
+        # V is linear in W, so curvature's Hessian in (W, t) is that of
+        # lambda_min at rows taken as they are, off the sphere too
+        A = pe.random_elliptic_tensor(n, m, "legendre-perturbed", seed=10 * n + m)
+        problem = conditions._make_problem(A, kind, test_field)
+        rng = np.random.default_rng(n + m)
+        W = problem._normalize(rng.standard_normal((5, problem.dim)))
+        D = rng.standard_normal(W.shape)
+        t = rng.uniform(-0.6, 0.6, 5)
+        _, _, hess, _ = problem.curvature(W, t)
+        np.testing.assert_allclose(hess, hess.transpose(0, 2, 1), rtol=0, atol=1e-12)
+
+        def grad(W, t):
+            return problem.curvature(W, t)[1]
+
+        h = 1e-5
+        along = (grad(W + h * D, t) - grad(W - h * D, t)) / (2 * h)
+        np.testing.assert_allclose(np.einsum("bij,bj->bi", hess[:, :, :-1], D), along,
+                                   rtol=0, atol=1e-6)
+        np.testing.assert_allclose(hess[:, :, -1], (grad(W, t + h) - grad(W, t - h)) / (2 * h),
+                                   rtol=0, atol=1e-6)
+
+    def test_hessian_at_double_lambda_min(self):
+        # complex direction-frozen rows at t = 0: every eigenvalue of S(0) is
+        # double (eta -> i eta), and the partner's terms drop out
+        A = pe.random_elliptic_tensor(2, 3, "legendre-perturbed", seed=23)
+        problem = conditions._make_problem(A, "lh", "complex")
+        rng = np.random.default_rng(1)
+        W = problem._normalize(rng.standard_normal((4, problem.dim)))
+        D = rng.standard_normal(W.shape)
+        G, V = problem._operands(W)
+        lam = np.linalg.eigvalsh(conditions._strong_matrices(G, V @ V.transpose(0, 2, 1), 0.0))
+        assert np.allclose(lam[:, 0], lam[:, 1], rtol=0, atol=1e-12)
+        _, _, hess, _ = problem.curvature(W, 0.0)
+        h = 1e-5
+        grad = [problem.curvature(W + s * D, 0.0)[1][:, :-1] for s in (h, -h)]
+        np.testing.assert_allclose(np.einsum("bij,bj->bi", hess[:, :-1, :-1], D),
+                                   (grad[0] - grad[1]) / (2 * h), rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    @pytest.mark.parametrize("test_field", ["real", "complex"])
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 3)])
+    def test_end_hessian_along_retraction(self, kind, test_field, n, m):
+        # the ends read normalized rows, so the Riemannian Hessian of tau is
+        # checked: on the curve c(s) = normalize(W + s D), D tangent, the
+        # second difference of tau(c(s)) is D.Hess D (both differences
+        # Richardson-extrapolated from steps h and 2h)
+        A = pe.random_elliptic_tensor(n, m, "legendre-perturbed", seed=10 * n + m)
+        problem = conditions._make_problem(A, kind, test_field)
+        rng = np.random.default_rng(n + m)
+        W = problem._normalize(rng.standard_normal((6, problem.dim)))
+        D = problem._tangent(W, rng.standard_normal(W.shape))
+        checked = 0
+        for side in (0, 1):
+            def tau(W):
+                return problem.thresholds(problem._normalize(W))[side]
+
+            def differences(h):
+                up, down = tau(W + h * D), tau(W - h * D)
+                return (up - down) / (2 * h), (up - 2 * t + down) / h**2
+
+            t = tau(W)
+            grad, hess, _ = conditions._end_derivatives(problem, W, t)
+            moves = np.abs(t) < 1.0
+            g, H = problem._riemannian(W, grad, hess)
+            (first, second), (first2, second2) = differences(1e-3), differences(2e-3)
+            np.testing.assert_allclose(np.sum(g * D, axis=1)[moves],
+                                       ((4 * first - first2) / 3)[moves], rtol=0, atol=1e-6)
+            np.testing.assert_allclose(np.einsum("bi,bij,bj->b", D, H, D)[moves],
+                                       ((4 * second - second2) / 3)[moves], rtol=1e-6, atol=1e-6)
+            checked += moves.sum()
+        assert checked > 0
+
 
 class TestPolish:
+    def test_flat_start_batch_evaluates_once(self):
+        # the isotropic Lame tensor's real strong margin at t = 0.5 has zero
+        # tangent gradient at every direction: every row stops on its
+        # predicted decrease before any trial
+        A = pe.lame_tensor(1.0, 1.0, 0.5, 2)
+        problem = conditions._make_problem(A, "strong", "real")
+        W = conditions._starts(pe.SearchConfig(seed=0), 16, problem.dim)
+        calls = []
+        fg = _margin_fg(problem, 0.5)
+
+        def counted(W, rows):
+            calls.append(len(rows))
+            return fg(W, rows)
+
+        res = conditions.minimize(problem, counted, W)
+        assert calls == [16] and res.nit == 1
+
     @pytest.mark.parametrize("kind", ["strong", "lh"])
     def test_batch_size_invariance(self, kind):
         # rows never interact: polishing 16 together ends each row where
@@ -298,10 +401,7 @@ class TestPolish:
         A = pe.random_elliptic_tensor(3, 3, "legendre-perturbed", seed=501)
         problem = conditions._make_problem(A, kind, "complex")
         W = conditions._starts(pe.SearchConfig(seed=1), 16, problem.dim)
-
-        def fg(W, rows):
-            return problem.slope(W, 0.4)[:2]
-
+        fg = _margin_fg(problem, 0.4)
         together = conditions.minimize(problem, fg, W)
         alone = [conditions.minimize(problem, fg, W[i : i + 1]) for i in range(16)]
         assert np.array_equal(together.x, np.vstack([r.x for r in alone]))
@@ -313,8 +413,70 @@ class TestPolish:
         A = pe.random_elliptic_tensor(2, 3, "legendre-perturbed", seed=23)
         problem = conditions._make_problem(A, "lh", "complex")
         W = conditions._starts(pe.SearchConfig(seed=2), 16, problem.dim)
-        res = conditions.minimize(problem, lambda W, rows: problem.slope(W, -0.3)[:2], W)
+        res = conditions.minimize(problem, _margin_fg(problem, -0.3), W)
         assert np.all(res.fun <= problem.values(W, -0.3))
+
+
+def _bfgs_minimize(problem, fg, W):
+    """The batched Riemannian BFGS polish that the Newton ``minimize``
+    replaced, kept as the differential tests' reference; it reads only the
+    values and gradients of fg. Batched Riemannian BFGS from every row of W
+    (Huang, Gallivan & Absil, 2015), retracted by ``problem._normalize``. Each row keeps an
+    inverse-Hessian estimate H in ambient coordinates and steps along
+    d = -tangent(H g), or -g where that is no descent direction (H = 0
+    until the first update), trying the unit step first and halving it
+    until the Armijo condition holds. An accepted step s with
+    y = g+ - tangent+(g) (transport by projection) updates H by the BFGS
+    formula when s.y > 0, the first update starting from (s.y / y.y) I;
+    otherwise the row is concave along s, H stays and the next try doubles
+    the step length. fg(X, rows) gives the values and Euclidean gradients at
+    the normalized rows X, which are the rows ``rows`` (indices into W) of
+    the batch, so a row may carry its own t. A row stops once an accepted
+    step gains less than 1e-13 relative, once its step underflows, or after
+    POLISH_STEPS steps. Rows never interact, so each ends where it would if
+    polished alone."""
+    x = problem._normalize(np.asarray(W, dtype=float))
+    live = np.arange(len(x))
+    f, g = fg(x, live)[:2]
+    g = problem._tangent(x, g)
+    H = np.zeros((*x.shape, x.shape[1]))
+    step = np.ones(len(x))
+    nit, nfev = 0, len(x)
+    while live.size and nit < conditions.POLISH_STEPS:
+        nit += 1
+        gl = g[live]
+        d = -problem._tangent(x[live], np.einsum("bij,bj->bi", H[live], gl))
+        slope = np.sum(d * gl, axis=1)
+        steep = ~(slope < 0.0)
+        d[steep], slope[steep] = -gl[steep], -np.sum(gl[steep] ** 2, axis=1)
+        trial = problem._normalize(x[live] + step[live, None] * d)
+        ft, gt = fg(trial, live)[:2]
+        gt = problem._tangent(trial, gt)
+        nfev += live.size
+        ok = ft <= f[live] + 1e-4 * step[live] * slope
+        done = np.where(ok, f[live] - ft <= 1e-13 * np.abs(ft),
+                        0.5 * step[live] * np.sqrt(np.sum(d * d, axis=1)) < 1e-15)
+        step[live[~ok]] *= 0.5
+        go = ok & ~done   # accepted rows that step on
+        if go.any():
+            acc = live[go]
+            s, y = trial[go] - x[acc], gt[go] - problem._tangent(trial[go], g[acc])
+            sy = np.sum(s * y, axis=1)
+            up = sy > 0.0
+            step[acc[~up]] *= 2.0
+            acc, s, y, sy = acc[up], s[up], y[up], sy[up]
+            step[acc] = 1.0
+            fresh = ~H[acc].any(axis=(1, 2))
+            H[acc[fresh]] = (sy / np.sum(y * y, axis=1))[fresh, None, None] * np.eye(x.shape[1])
+            Hy = np.einsum("bij,bj->bi", H[acc], y)
+            rho = 1.0 / sy[:, None, None]
+            ss, sHy = s[:, :, None] * s[:, None, :], s[:, :, None] * Hy[:, None, :]
+            H[acc] += rho * ((1.0 + rho * np.sum(y * Hy, axis=1)[:, None, None]) * ss
+                             - sHy - sHy.transpose(0, 2, 1))
+        acc = live[ok]
+        x[acc], f[acc], g[acc] = trial[ok], ft[ok], gt[ok]
+        live = live[~done]
+    return conditions.PolishResult(x=x, fun=f, nit=nit, nfev=nfev)
 
 
 def _bb_minimize(problem, fg, W):
@@ -323,7 +485,7 @@ def _bb_minimize(problem, fg, W):
     BB length with Armijo backtracking and the same stop rules."""
     x = problem._normalize(np.asarray(W, dtype=float))
     live = np.arange(len(x))
-    f, g = fg(x, live)
+    f, g = fg(x, live)[:2]
     g = problem._tangent(x, g)
     step = np.ones(len(x))
     nit, nfev = 0, len(x)
@@ -331,7 +493,7 @@ def _bb_minimize(problem, fg, W):
         nit += 1
         gg = np.sum(g[live] ** 2, axis=1)
         trial = problem._normalize(x[live] - step[live, None] * g[live])
-        ft, gt = fg(trial, live)
+        ft, gt = fg(trial, live)[:2]
         gt = problem._tangent(trial, gt)
         nfev += live.size
         ok = ft <= f[live] - 1e-4 * step[live] * gg
@@ -360,10 +522,8 @@ def _two_polish_threshold_ends(A, kind, cfg):
     def search(side, values):
         def fg(W, rows):
             t = problem.thresholds(W)[side]
-            _, grad, dt = problem.slope(W, t)
-            moves = (np.abs(t) < 1.0) & (t != 0.0) & (dt != 0.0)
-            grad = np.where(moves[:, None], -grad / np.where(moves, dt, 1.0)[:, None], 0.0)
-            return (t, grad) if side else (-t, -grad)
+            grad, hess, scale = conditions._end_derivatives(problem, W, t)
+            return (t, grad, hess, scale) if side else (-t, -grad, -hess, scale)
 
         best = starts[np.argsort(values)[:conditions.POLISHED]]
         return float(conditions.minimize(problem, fg, best).fun.min())
@@ -372,9 +532,9 @@ def _two_polish_threshold_ends(A, kind, cfg):
 
 
 class TestPolishReference:
-    """The BFGS polish against the Barzilai-Borwein one it replaced and
-    against oracle.brute_margin, on a fixed generated batch of real and
-    complex tensors."""
+    """The Newton polish against the BFGS one it replaced and against
+    oracle.brute_margin, on a fixed generated batch of real and complex
+    tensors."""
 
     BATCH = make_batch(8, 600)
 
@@ -387,7 +547,7 @@ class TestPolishReference:
         search = pe.strong_margin if kind == "strong" else pe.lh_margin
         cfg = pe.SearchConfig(t=t, seed=3)
         new = [search(A, cfg).value for A in self.BATCH]
-        monkeypatch.setattr(conditions, "minimize", _bb_minimize)
+        monkeypatch.setattr(conditions, "minimize", _bfgs_minimize)
         old = [search(A, cfg).value for A in self.BATCH]
         for A, got, ref in zip(self.BATCH, new, old):
             assert got <= ref + 1e-9
@@ -397,7 +557,7 @@ class TestPolishReference:
     def test_threshold_ends_no_wider(self, monkeypatch, kind):
         cfg = pe.SearchConfig(seed=3)
         new = [conditions.threshold_ends(A, kind, cfg) for A in self.BATCH]
-        monkeypatch.setattr(conditions, "minimize", _bb_minimize)
+        monkeypatch.setattr(conditions, "minimize", _bfgs_minimize)
         old = [conditions.threshold_ends(A, kind, cfg) for A in self.BATCH]
         for (lo, hi), (ref_lo, ref_hi) in zip(new, old):
             assert lo >= ref_lo - 1e-9 and hi <= ref_hi + 1e-9
@@ -412,17 +572,17 @@ class TestPolishReference:
             assert conditions.threshold_ends(A, kind, cfg) == _two_polish_threshold_ends(A, kind, cfg)
 
     @pytest.mark.parametrize("kind, test_field, cap", [
-        ("lh", "real", 60), ("lh", "complex", 60),
-        ("strong", "real", 40), ("strong", "complex", 40)])
+        ("lh", "real", 25), ("lh", "complex", 25),
+        ("strong", "real", 12), ("strong", "complex", 12)])
     def test_step_counts(self, kind, test_field, cap):
         # the Barzilai-Borwein polish took 174, 148, 24 and 19 steps here
         A = pe.random_elliptic_tensor(3, 3, "legendre-perturbed", seed=501)
         problem = conditions._make_problem(A, kind, test_field)
         W = conditions._starts(pe.SearchConfig(seed=1), 16, problem.dim)
-        res = conditions.minimize(problem, lambda W, rows: problem.slope(W, 0.4)[:2], W)
+        res = conditions.minimize(problem, _margin_fg(problem, 0.4), W)
         assert res.nit <= cap
         assert res.fun.min() <= _bb_minimize(
-            problem, lambda W, rows: problem.slope(W, 0.4)[:2], W).fun.min() + 1e-12
+            problem, _margin_fg(problem, 0.4), W).fun.min() + 1e-12
 
 
 class TestScalarMargin:
