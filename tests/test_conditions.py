@@ -572,8 +572,8 @@ class TestPolishReference:
             assert conditions.threshold_ends(A, kind, cfg) == _two_polish_threshold_ends(A, kind, cfg)
 
     @pytest.mark.parametrize("kind, test_field, cap", [
-        ("lh", "real", 25), ("lh", "complex", 25),
-        ("strong", "real", 12), ("strong", "complex", 12)])
+        ("lh", "real", 60), ("lh", "complex", 60),
+        ("strong", "real", 40), ("strong", "complex", 40)])
     def test_step_counts(self, kind, test_field, cap):
         # the Barzilai-Borwein polish took 174, 148, 24 and 19 steps here
         A = pe.random_elliptic_tensor(3, 3, "legendre-perturbed", seed=501)
@@ -582,6 +582,19 @@ class TestPolishReference:
         res = conditions.minimize(problem, _margin_fg(problem, 0.4), W)
         assert res.nit <= cap
         assert res.fun.min() <= _bb_minimize(
+            problem, _margin_fg(problem, 0.4), W).fun.min() + 1e-12
+
+    @pytest.mark.parametrize("kind, test_field, cap", [
+        ("lh", "real", 25), ("lh", "complex", 25),
+        ("strong", "real", 12), ("strong", "complex", 12)])
+    def test_newton_step_counts(self, kind, test_field, cap):
+        # the caps of test_step_counts, tightened for the Newton polish
+        A = pe.random_elliptic_tensor(3, 3, "legendre-perturbed", seed=501)
+        problem = conditions._make_problem(A, kind, test_field)
+        W = conditions._starts(pe.SearchConfig(seed=1), 16, problem.dim)
+        res = conditions.minimize(problem, _margin_fg(problem, 0.4), W)
+        assert res.nit <= cap
+        assert res.fun.min() <= _bfgs_minimize(
             problem, _margin_fg(problem, 0.4), W).fun.min() + 1e-12
 
 
