@@ -80,7 +80,7 @@ def parse_input_document(doc: dict) -> TensorField:
     grid, a periodic flag and one sample per lattice point (row-major)."""
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
-    if doc.get("schema") != SCHEMA_VERSION:
+    if not _is_schema(doc.get("schema")):
         raise InputError(f"unsupported schema: {doc.get('schema')!r}")
     try:
         return _parse_document(doc)
@@ -92,14 +92,33 @@ def parse_input_document(doc: dict) -> TensorField:
         raise InputError(f"malformed document: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    """Whether value is a JSON integer; json reads true and false as bools,
+    which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_schema(value) -> bool:
+    return _is_int(value) and value == SCHEMA_VERSION
+
+
+def _integer(value, name: str) -> int:
+    if not _is_int(value):
+        raise InputError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _parse_document(doc: dict) -> TensorField:
-    n, m = int(doc["n"]), int(doc["m"])
+    n, m = _integer(doc["n"], "n"), _integer(doc["m"], "m")
     if "grid" not in doc:
         entries = _entries_from_json(doc["entries"])
         if entries.shape != (n, n, m, m):
             raise InputError(f"entries shape {entries.shape} does not match n={n}, m={m}")
         return TensorField.constant(CoefficientTensor(entries))
-    grid = tuple(int(g) for g in doc["grid"])
+    grid = tuple(_integer(g, "grid entry") for g in doc["grid"])
+    periodic = doc.get("periodic", False)
+    if not isinstance(periodic, bool):
+        raise InputError(f"periodic must be a JSON boolean, got {periodic!r}")
     samples = doc.get("samples")
     if samples is None:
         raise InputError("field document needs a samples list")
@@ -109,8 +128,7 @@ def _parse_document(doc: dict) -> TensorField:
         raise InputError(f"expected {count} samples of [h][k][alpha][beta] -> [re, im] with "
                          f"n={n}, m={m}, got shape {body.shape}")
     body = body[..., 0] + 1j * body[..., 1]
-    return TensorField(body.reshape(grid + (n, n, m, m)), grid,
-                       periodic=bool(doc.get("periodic", False)))
+    return TensorField(body.reshape(grid + (n, n, m, m)), grid, periodic=periodic)
 
 
 def _read_json(path: str):
@@ -194,7 +212,7 @@ def _cmd_check(args) -> int:
     if A.m == 1:
         result["scalar_margin"] = scalar_p_margin(A, args.p)
     if strong.value > 1e-9:
-        result["classification"] = "strong-p-elliptic (certified-by-margin)"
+        result["classification"] = "strong-p-elliptic (estimated)"
         code = EXIT_OK
     elif strong.value < -1e-9:
         result["classification"] = "refuted"
@@ -227,7 +245,7 @@ def _load_scalar_field(path: str) -> np.ndarray:
     if path is None:
         return None
     doc = _read_json(path)
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION or "values" not in doc:
+    if not isinstance(doc, dict) or not _is_schema(doc.get("schema")) or "values" not in doc:
         raise InputError(f"{path}: expected a schema-1 scalar field with values")
     try:
         return np.asarray(doc["values"], dtype=float).ravel()

@@ -17,17 +17,17 @@ quadratic form of one matrix over the real coordinates of the test state,
 
 with G a pairing matrix (of A, or of M_q for the direction-frozen form) and
 Pi = V V^T the projection onto the direction, V an orthonormal basis of
-its range. One assembly builds S(t) for both searches, so the inner
-infimum is the smallest eigenvalue of S(t); only the compact direction set
-needs a global search: seeded multistart, then one batched Riemannian
-Newton polish (``minimize``) of the best starts, whose gradients and exact
-Hessians come from the eigendecomposition of S(t) by eigenvalue
-perturbation (``_FormProblem.curvature``; Overton & Womersley 1995). The
-reported value is therefore an upper bound on the true infimum and results
-carry ``certified=False``. At a fixed witness the form is an exact parabola
-in t, read off the lowest eigenvector; ``margin_curve`` polishes every t of
-its grid in one batch and bounds each point by the parabolas of all the
-grid's witnesses.
+its range. One assembly builds S(t) for both searches, so the inner infimum
+is the smallest eigenvalue of S(t); only the compact direction set needs a
+global search: seeded multistart, then one batched Riemannian Newton polish
+(``minimize``) of the best starts, with exact gradients and Hessians from
+the eigendecomposition of S(t) by eigenvalue perturbation (Overton &
+Womersley 1995). Each coordinate moves I + t Pi or G, so one formula
+differentiates S(t) in all of them (``_FormProblem.curvature``). Values are
+upper bounds on the true infimum (``certified=False``). At a fixed witness
+the form is an exact parabola in t, read off the lowest eigenvector;
+``margin_curve`` polishes every t of its grid in one batch and bounds each
+point by the parabolas of all the grid's witnesses.
 
 The same assembly gives the ends of an admissible interval: per direction
 the first t on each side of 0 where S(t) = S0 + t S1 + t^2 S2 turns
@@ -223,8 +223,8 @@ class _FormProblem:
     """Smallest eigenvalue of S(t) = sym((I + t Pi)^T G (I - t Pi)) per candidate.
 
     A subclass supplies the pairing G and the direction basis V (Pi = V V^T)
-    of a batch of normalized candidate directions (``_operands``), the
-    constant dV/dw of the leading direction coordinates (``_E``), the
+    of a batch of normalized candidate directions (``_operands``), with
+    V = I_k (x) w for the leading parts*m coordinates w of a candidate, the
     candidate length ``dim`` and the columns where a candidate splits into
     separately normalized unit blocks (``splits``), and the witness built
     from an eigenvector (``_make_witness``).
@@ -270,73 +270,77 @@ class _FormProblem:
         return _eigvalsh_batch(_strong_matrices(G, Pi, np.reshape(t, (-1, 1, 1))))[:, 0]
 
     def _eig(self, W: np.ndarray, t):
-        """Eigenvalues and eigenvectors of S(t), Pi, G and V per normalized row."""
+        """Eigenvalues and eigenvectors of S(t), Pi and G per normalized row."""
         G, V = self._operands(W)
         Pi = V @ V.transpose(0, 2, 1)
         lam, vecs = np.linalg.eigh(_strong_matrices(G, Pi, np.reshape(t, (-1, 1, 1))))
-        return lam, vecs, Pi, G, V
+        return lam, vecs, Pi, G
+
+    def _direction_terms(self, w: np.ndarray, z: np.ndarray):
+        """E^T z (B, parts*m, k) and the rows dPi/dw_i z (B, parts*m, d) at
+        the direction coordinates w. In (part, h, a) coordinates V = I_k (x) w
+        and E_i = dV/dw_i picks coordinate i = (part, a), so E^T z is a
+        reshape of z and dPi/dw_i z = E_i V^T z + V E_i^T z."""
+        B, pm = w.shape
+        k = z.shape[1] // pm
+        Ez = z.reshape(B, self.parts, k, self.m).transpose(0, 1, 3, 2).reshape(B, pm, k)
+        Vz = (w[:, None] @ Ez)[:, 0]
+        dPz = (np.eye(pm).reshape(pm, self.parts, 1, self.m) * Vz[:, None, None, :, None]
+               + w.reshape(B, 1, self.parts, 1, self.m) * Ez.reshape(B, pm, 1, k, 1))
+        return Ez, dPz.reshape(B, pm, -1)
 
     def curvature(self, W: np.ndarray, t):
-        """lambda_min of S(t), its gradient and Hessian in the coordinates
-        (W, t), t last, and max |lambda| per row of W; V is linear in W, so
-        the rows are taken as they are. t is a scalar or one value per row.
-
-        With x = x_0, ..., x_k the eigenvectors of S, the Hessian is that of
-        phi = x.S x at frozen x plus 2 sum_{k>=1} (x_k.S_i x)(x_k.S_j x) /
-        (lambda_0 - lambda_k) over the gaps above 1e-9 max |lambda| (a
-        double lambda_min, as on complex direction-frozen rows at t = 0,
-        leaves its partner's numerators at zero). With N = skew(G),
-        S0 = sym(G), y = Pi x, v = N x - t S0 y and u = t v, phi = x.S0 x +
-        2t v.y + t^2 y.S0 y; a direction coordinate i moves y by
-        Dy_i = E_i V^T x + V E_i^T x (E = dV/dw, ``_E``), and the frequency
-        coordinates of the direction-frozen form move G
-        (``_frequency_terms``)."""
-        lam, X, Pi, G, V = self._eig(W, t)
-        B, d = X.shape[:2]
-        t = np.broadcast_to(np.reshape(t, (-1, 1)), (B, 1))
-        t3 = t[:, :, None]
+        """lambda_min of S(t), its gradient and Hessian in (W, t), t last, at
+        the rows as they are (V is linear in W), and max |lambda| per row; t
+        is a scalar or one value per row. S = sym(L G R) with L = I + t Pi
+        and R = 2I - L, and a coordinate i moves L (L_i = t dPi/dw_i for a
+        direction, Pi for t) or G (G_i for a frequency, ``_frequency_terms``).
+        With x the lowest eigenvector, N = skew(G), S0 = sym(G), y = Pi x,
+        v = N x - t S0 y, a = L x, b = R x, l_i = L_i x and
+        Z_i = G_i b - G_i^T a: S_i x = L_i v + (L G_i b + R G_i^T a)/2 -
+        (N + t Pi S0) l_i, the gradient is x.S_i x, and the Hessian of x.S x
+        at frozen x is -2 l_i.S0 l_j + 2 x.L_ij v + l_i.Z_j + l_j.Z_i +
+        a.G_ij b (L_ij = t d^2Pi/dw_i dw_j, dPi/dw_i with t, else 0; see
+        ``_direction_terms``). The eigenvectors x_k above x add
+        2 sum_k (x_k.S_i x)(x_k.S_j x) / (lambda_0 - lambda_k) over the gaps
+        above 1e-9 max |lambda|, so a double lambda_min (complex
+        direction-frozen rows at t = 0) leaves out its partner."""
+        lam, X, Pi, G = self._eig(W, t)
+        pm = self.parts * self.m
+        t = np.reshape(t, (-1, 1, 1))
         Gt = np.swapaxes(G, -1, -2)
-        N = np.broadcast_to(0.5 * (G - Gt), (B, d, d))
-        S0 = np.broadcast_to(0.5 * (G + Gt), (B, d, d))
-        x = X[..., 0]
-        y = np.einsum("bij,bj->bi", Pi, x)
+        N, S0 = 0.5 * (G - Gt), 0.5 * (G + Gt)
+        x, y = X[:, :, :1], Pi @ X[:, :, :1]
         a, b = x + t * y, x - t * y
-        S0y = np.einsum("bij,bj->bi", S0, y)
-        v = np.einsum("bij,bj->bi", N, x) - t * S0y
-        u = t * v
-        Ex, Eu = np.einsum("idk,bd->bik", self._E, x), np.einsum("idk,bd->bik", self._E, u)
-        Vx, Vu = np.einsum("bdk,bd->bk", V, x), np.einsum("bdk,bd->bk", V, u)
-        Dy = np.einsum("idk,bk->bid", self._E, Vx) + np.einsum("bdk,bik->bid", V, Ex)
-        S0Dy = np.einsum("bij,bpj->bpi", S0, Dy)
-        # S_i x = dPi_i u - t N Dy_i - t^2 Pi S0 Dy_i, S_t x = Pi (v - t S0 y) - N y
-        s_dir = (np.einsum("idk,bk->bid", self._E, Vu) + np.einsum("bdk,bik->bid", V, Eu)
-                 - t3 * np.einsum("bij,bpj->bpi", N, Dy)
-                 - t3 * t3 * np.einsum("bij,bpj->bpi", Pi, S0Dy))
-        s_t = np.einsum("bij,bj->bi", Pi, v - t * S0y) - np.einsum("bij,bj->bi", N, y)
-        dGb, dGta, H_qq = self._frequency_terms(W, a, b)
+        v = N @ x - t * (S0 @ y)
+        Ex, Dx = self._direction_terms(W[:, :pm], x[..., 0])
+        Ev, Dv = self._direction_terms(W[:, :pm], v[..., 0])
+        dGb, dGta, H_qq = self._frequency_terms(W, a[..., 0], b[..., 0])
         Z = dGb - dGta
-        s_q = 0.5 * (dGb + dGta + t3 * np.einsum("bij,bqj->bqi", Pi, Z))
-        s = np.concatenate([s_dir, s_q, s_t[:, None]], axis=1)
-        grad = np.concatenate([2.0 * np.sum(Dy * u[:, None], axis=2),
-                               np.sum(dGb * a[:, None], axis=2),
-                               2.0 * np.sum(y * v, axis=1, keepdims=True)], axis=1)
-        cross = np.einsum("bik,bjk->bij", Eu, Ex)
-        H_dd = 2.0 * (cross + cross.transpose(0, 2, 1)) - 2.0 * t3 * t3 * np.einsum(
-            "bid,bjd->bij", Dy, S0Dy)
-        H_dq = t3 * np.einsum("bid,bqd->biq", Dy, Z)
-        H_dt = 2.0 * np.sum(Dy * (v - t * S0y)[:, None], axis=2)[:, :, None]
-        H_qt = np.sum(Z * y[:, None], axis=2)[:, :, None]
-        H_tt = -2.0 * np.sum(y * S0y, axis=1)[:, None, None]
-        H = np.concatenate([
-            np.concatenate([H_dd, H_dq, H_dt], axis=2),
-            np.concatenate([H_dq.transpose(0, 2, 1), H_qq, H_qt], axis=2),
-            np.concatenate([H_dt.transpose(0, 2, 1), H_qt.transpose(0, 2, 1), H_tt], axis=2)],
-            axis=1)
+        q = slice(pm, pm + Z.shape[1])
+        zero = np.zeros_like(Z)
+        # rows i of l = L_i x and of L_i v: direction coordinates, frequencies, t
+        l = np.concatenate([t * Dx, zero, y.transpose(0, 2, 1)], axis=1)
+        Lv = np.concatenate([t * Dv, zero, (Pi @ v).transpose(0, 2, 1)], axis=1)
+        lS0 = l @ S0
+        s = Lv + l @ N - t * (lS0 @ Pi)
+        s[:, q] += 0.5 * (dGb + dGta + t * (Z @ Pi))
+        grad = (s @ x)[..., 0]
+        H = -2.0 * (lS0 @ l.transpose(0, 2, 1))
+        cross = t * (Ev @ Ex.transpose(0, 2, 1))
+        H[:, :pm, :pm] += 2.0 * (cross + cross.transpose(0, 2, 1))
+        H_dt = 2.0 * (Dx @ v)[..., 0]
+        H[:, :pm, -1] += H_dt
+        H[:, -1, :pm] += H_dt
+        lZ = l @ Z.transpose(0, 2, 1)
+        H[:, :, q] += lZ
+        H[:, q] += lZ.transpose(0, 2, 1)
+        H[:, q, q] += H_qq
         scale = np.abs(lam).max(axis=1)
         gap = lam[:, 1:] - lam[:, :1]
         inv = np.divide(-2.0, gap, out=np.zeros_like(gap), where=gap > 1e-9 * scale[:, None])
-        C = np.einsum("bdk,bjd->bkj", X[:, :, 1:], s)
-        H += np.einsum("bkj,bk,bkl->bjl", C, inv, C)
+        C = X[:, :, 1:].transpose(0, 2, 1) @ s.transpose(0, 2, 1)
+        H += C.transpose(0, 2, 1) @ (inv[:, :, None] * C)
         return lam[:, 0], grad, H, scale
 
     def _frequency_terms(self, W, a, b):
@@ -360,7 +364,7 @@ class _FormProblem:
         a0 = x.Gx, a1 = y.Gx - x.Gy and a2 = -y.Gy.
         """
         W = self._normalize(w[None])
-        lam, X, Pi, G, _ = self._eig(W, t)
+        lam, X, Pi, G = self._eig(W, t)
         x = X[0, :, 0]
         y, G = Pi[0] @ x, np.broadcast_to(G, Pi.shape)[0]
         Gx, Gy = G @ x, G @ y
@@ -398,7 +402,6 @@ class _StrongProblem(_FormProblem):
     def __init__(self, A: CoefficientTensor, parts: int):
         super().__init__(A, parts, parts * A.m)
         self.G = _pairing_matrix(self.entries, parts)
-        self._E = _direction_basis(np.eye(self.dim), self.n, parts, self.m)
         self._G_split = super()._split(self.G)
 
     def _split(self, G):
@@ -422,24 +425,20 @@ class _LHProblem(_FormProblem):
     def __init__(self, A: CoefficientTensor, parts: int):
         super().__init__(A, parts, parts * A.m + A.n, (parts * A.m,))
         self.G_blocks = _pairing_matrix(self.entries[:, :, None, None], parts)
-        self._E = _direction_basis(np.eye(parts * A.m), 1, parts, A.m)
 
     def _operands(self, W):
         pm = self.parts * self.m
         Q = W[:, pm:]
-        return (np.einsum("hkij,Bh,Bk->Bij", self.G_blocks, Q, Q),
+        return (np.einsum("Bhk,hkij->Bij", Q[:, :, None] * Q[:, None, :], self.G_blocks),
                 _direction_basis(W[:, :pm], 1, self.parts, self.m))
 
     def _frequency_terms(self, W, a, b):
         """With G = sum_hk q_h q_k G_hk: dG/dq_h = sum_k q_k (G_hk + G_kh)
         and d^2 G/dq_h dq_k = G_hk + G_kh."""
-        Q = W[:, self.splits[0]:]
-        Gb = np.einsum("hkij,bj->bhki", self.G_blocks, b)
-        aG = np.einsum("hkij,bi->bhkj", self.G_blocks, a)
-        T = np.einsum("bhki,bi->bhk", Gb, a)
-        return (np.einsum("bhki,bk->bhi", Gb, Q) + np.einsum("bkhi,bk->bhi", Gb, Q),
-                np.einsum("bhkj,bk->bhj", aG, Q) + np.einsum("bkhj,bk->bhj", aG, Q),
-                T + T.transpose(0, 2, 1))
+        G2 = self.G_blocks + self.G_blocks.transpose(1, 0, 2, 3)
+        dG = np.einsum("hkij,bk->bhij", G2, W[:, self.splits[0]:])
+        return ((dG @ b[:, None, :, None])[..., 0], (a[:, None, None] @ dG)[:, :, 0],
+                np.einsum("hkij,bi,bj->bhk", G2, a, b))
 
     def _make_witness(self, x, w) -> Witness:
         pm = self.parts * self.m

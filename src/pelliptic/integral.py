@@ -14,8 +14,10 @@ The kernels work on chunks: trials stacked along a leading axis. The
 falsifier draws and scores up to CHUNK_BUDGET lattice points x channels
 of trials at a time; a single grid or quotient is a chunk of one.
 
-A positive strong margin at t(p) certifies the integral condition, so the
-falsifier can only ever refute: "no counterexample found" is not a proof.
+A positive exact strong margin at t(p) certifies the integral condition;
+the margin ``strong_margin`` estimates is an upper bound on it and
+certifies nothing. The falsifier can only ever refute: "no counterexample
+found" is not a proof.
 """
 
 from __future__ import annotations
@@ -321,9 +323,10 @@ def falsify_integral(F: TensorField, p: float, trials: int, seed: int = 0,
     Returns the lowest-index hit or None. Trial k draws from
     substream(seed, k); the trials are drawn and scored in stacked chunks of
     _chunk_size(n, N, m), and no chunk after the first one holding a hit is
-    drawn. None does not certify the condition; a positive strong margin
-    does, and a returned counterexample soundly refutes. Real fields are
-    probed with real test functions, complex fields with complex ones.
+    drawn. None does not certify the condition (a positive exact strong
+    margin would; an estimated one does not), and a returned counterexample
+    soundly refutes. Real fields are probed with real test functions,
+    complex fields with complex ones.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")

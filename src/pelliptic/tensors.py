@@ -278,16 +278,25 @@ class TensorField:
         Requires a periodic sampled field; the lattice is mapped onto itself,
         so the result is sampled on the same grid.
         """
+        k = 1.0 / _check_eps(eps)
         if self.is_constant:
             return self
         if not self.periodic:
             raise InputError("rescaling requires a periodic field")
-        k = 1.0 / float(eps)
-        if eps <= 0 or abs(k - round(k)) > 1e-12:
+        if abs(k - round(k)) > 1e-12 or round(k) < 1:
             raise InputError("eps must be the reciprocal of a positive integer")
         k = int(round(k))
-        idx = np.ix_(*[(k * np.arange(g)) % g for g in self.grid])
+        idx = np.ix_(*[(k % g * np.arange(g)) % g for g in self.grid])
         return TensorField(self.samples[idx], self.grid, periodic=True)
+
+
+def _check_eps(eps) -> float:
+    """eps as a float; InputError unless it and its reciprocal are finite
+    and positive."""
+    eps = float(eps)
+    if not (0.0 < eps < np.inf and 1.0 / eps < np.inf):
+        raise InputError(f"eps must be positive and finite with a finite reciprocal, got {eps}")
+    return eps
 
 
 def _nearest_index(x: np.ndarray, grid, periodic: bool) -> tuple:
@@ -306,6 +315,8 @@ def sample_field(F: TensorField, x, eps: float | None = None) -> CoefficientTens
     With ``eps`` given the field must be periodic and the point x/eps is
     wrapped back into the period cell first.
     """
+    if eps is not None:
+        eps = _check_eps(eps)
     if F.is_constant:
         if eps is not None:
             raise InputError("eps sampling requires a periodic sampled field")
@@ -318,7 +329,5 @@ def sample_field(F: TensorField, x, eps: float | None = None) -> CoefficientTens
     if eps is not None:
         if not F.periodic:
             raise InputError("eps sampling requires a periodic field")
-        if eps <= 0:
-            raise InputError("eps must be positive")
         x = np.mod(x / eps, 1.0)
     return F.tensor_at_index(_nearest_index(x, F.grid, F.periodic))

@@ -75,7 +75,8 @@ class TestCheck:
         code, payload, _ = run_cli(capsys, "check", identity_file, "--p", "4")
         assert code == 0
         assert payload["result"]["strong_margin"] == pytest.approx(0.75, abs=1e-6)
-        assert payload["result"]["classification"].startswith("strong-p-elliptic")
+        # the margin is an upper bound from a heuristic search, not a certificate
+        assert payload["result"]["classification"] == "strong-p-elliptic (estimated)"
         assert payload["manifest"]["command"] == "check"
 
     def test_lame_p14_inside_range(self, capsys, lame_file):
@@ -356,16 +357,37 @@ class TestContracts:
                                       "lame-n1", "p0-minus-inf", "q-strong-minus-inf",
                                       "falsify-p-inf", "falsify-p-overflow", "lambda-field-empty",
                                       "falsify-points-0", "falsify-points-negative",
-                                      "falsify-points-huge", "check-starts-huge"])
+                                      "falsify-points-huge", "check-starts-huge",
+                                      "schema-true", "schema-float", "n-true", "m-float",
+                                      "grid-float", "grid-false", "periodic-string",
+                                      "periodic-int"])
     def test_malformed_input_exit_two(self, capsys, tmp_path, case):
         # json reads 1e400 as inf
+        field = field_to_json(pe.TensorField.sampled(
+            [pe.CoefficientTensor.from_matrix(k * np.eye(1)) for k in (1.0, 2.0)], grid=(2,)))
+        identity = tensor_to_json(pe.CoefficientTensor.identity(2, 2))
         docs = {
             "no-entries": '{"schema": 1, "n": 2, "m": 2}',
             "bad-n": '{"schema": 1, "n": "x", "m": 2, "entries": []}',
             "n-overflow": '{"schema": 1, "n": 1e400, "m": 2, "entries": []}',
             "grid-overflow": '{"schema": 1, "n": 1, "m": 1, "grid": [1e400], "samples": []}',
+            # the schema, n, m and grid entries are JSON integers, and a
+            # bool is none; periodic is a JSON boolean
+            "schema-true": json.dumps(dict(identity, schema=True)),
+            "schema-float": json.dumps(dict(identity, schema=1.0)),
+            "n-true": json.dumps(dict(field, n=True)),
+            "m-float": json.dumps(dict(field, m=1.7)),
+            "grid-float": json.dumps(dict(field, grid=[2.0])),
+            "grid-false": json.dumps(dict(field, grid=[False])),
+            "periodic-string": json.dumps(dict(field, periodic="false")),
+            "periodic-int": json.dumps(dict(field, periodic=0)),
         }
-        message = None
+        message = {"schema-true": "unsupported schema", "schema-float": "unsupported schema",
+                   "n-true": "n must be a JSON integer", "m-float": "m must be a JSON integer",
+                   "grid-float": "grid entry must be a JSON integer",
+                   "grid-false": "grid entry must be a JSON integer",
+                   "periodic-string": "periodic must be a JSON boolean",
+                   "periodic-int": "periodic must be a JSON boolean"}.get(case)
         if case == "no-moduli":
             argv = ["lame", "--n", "3"]
         elif case == "missing-field-file":

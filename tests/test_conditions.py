@@ -276,7 +276,7 @@ class TestSlope:
 
     @pytest.mark.parametrize("kind", ["strong", "lh"])
     @pytest.mark.parametrize("test_field", ["real", "complex"])
-    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (2, 1), (3, 1)])
     def test_central_differences(self, kind, test_field, n, m):
         A = pe.random_elliptic_tensor(n, m, "legendre-perturbed", seed=10 * n + m)
         problem = conditions._make_problem(A, kind, test_field)
@@ -301,7 +301,7 @@ class TestSlope:
 
     @pytest.mark.parametrize("kind", ["strong", "lh"])
     @pytest.mark.parametrize("test_field", ["real", "complex"])
-    @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 3)])
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 3), (2, 1), (3, 1)])
     def test_hessian_central_differences(self, kind, test_field, n, m):
         # V is linear in W, so curvature's Hessian in (W, t) is that of
         # lambda_min at rows taken as they are, off the sphere too
@@ -374,6 +374,104 @@ class TestSlope:
                                        ((4 * second - second2) / 3)[moves], rtol=1e-6, atol=1e-6)
             checked += moves.sum()
         assert checked > 0
+
+
+def _einsum_curvature(problem, W, t):
+    """``_FormProblem.curvature`` as it was before it took every coordinate
+    through one derivative formula, kept as the differential test's
+    reference: separate formulas for S_i x, the gradient and five Hessian
+    blocks, with the constant dV/dw of the direction coordinates as a table
+    E and about 30 ``einsum`` calls.
+
+    With x = x_0, ..., x_k the eigenvectors of S, the Hessian is that of
+    phi = x.S x at frozen x plus 2 sum_{k>=1} (x_k.S_i x)(x_k.S_j x) /
+    (lambda_0 - lambda_k) over the gaps above 1e-9 max |lambda|. With
+    N = skew(G), S0 = sym(G), y = Pi x, v = N x - t S0 y and u = t v,
+    phi = x.S0 x + 2t v.y + t^2 y.S0 y; a direction coordinate i moves y by
+    Dy_i = E_i V^T x + V E_i^T x (E = dV/dw), and the frequency
+    coordinates of the direction-frozen form move G (``_frequency_terms``)."""
+    lam, X, Pi, G = problem._eig(W, t)
+    V = problem._operands(W)[1]
+    E = conditions._direction_basis(np.eye(problem.parts * problem.m), V.shape[-1],
+                                    problem.parts, problem.m)
+    B, d = X.shape[:2]
+    t = np.broadcast_to(np.reshape(t, (-1, 1)), (B, 1))
+    t3 = t[:, :, None]
+    Gt = np.swapaxes(G, -1, -2)
+    N = np.broadcast_to(0.5 * (G - Gt), (B, d, d))
+    S0 = np.broadcast_to(0.5 * (G + Gt), (B, d, d))
+    x = X[..., 0]
+    y = np.einsum("bij,bj->bi", Pi, x)
+    a, b = x + t * y, x - t * y
+    S0y = np.einsum("bij,bj->bi", S0, y)
+    v = np.einsum("bij,bj->bi", N, x) - t * S0y
+    u = t * v
+    Ex, Eu = np.einsum("idk,bd->bik", E, x), np.einsum("idk,bd->bik", E, u)
+    Vx, Vu = np.einsum("bdk,bd->bk", V, x), np.einsum("bdk,bd->bk", V, u)
+    Dy = np.einsum("idk,bk->bid", E, Vx) + np.einsum("bdk,bik->bid", V, Ex)
+    S0Dy = np.einsum("bij,bpj->bpi", S0, Dy)
+    # S_i x = dPi_i u - t N Dy_i - t^2 Pi S0 Dy_i, S_t x = Pi (v - t S0 y) - N y
+    s_dir = (np.einsum("idk,bk->bid", E, Vu) + np.einsum("bdk,bik->bid", V, Eu)
+             - t3 * np.einsum("bij,bpj->bpi", N, Dy)
+             - t3 * t3 * np.einsum("bij,bpj->bpi", Pi, S0Dy))
+    s_t = np.einsum("bij,bj->bi", Pi, v - t * S0y) - np.einsum("bij,bj->bi", N, y)
+    dGb, dGta, H_qq = problem._frequency_terms(W, a, b)
+    Z = dGb - dGta
+    s_q = 0.5 * (dGb + dGta + t3 * np.einsum("bij,bqj->bqi", Pi, Z))
+    s = np.concatenate([s_dir, s_q, s_t[:, None]], axis=1)
+    grad = np.concatenate([2.0 * np.sum(Dy * u[:, None], axis=2),
+                           np.sum(dGb * a[:, None], axis=2),
+                           2.0 * np.sum(y * v, axis=1, keepdims=True)], axis=1)
+    cross = np.einsum("bik,bjk->bij", Eu, Ex)
+    H_dd = 2.0 * (cross + cross.transpose(0, 2, 1)) - 2.0 * t3 * t3 * np.einsum(
+        "bid,bjd->bij", Dy, S0Dy)
+    H_dq = t3 * np.einsum("bid,bqd->biq", Dy, Z)
+    H_dt = 2.0 * np.sum(Dy * (v - t * S0y)[:, None], axis=2)[:, :, None]
+    H_qt = np.sum(Z * y[:, None], axis=2)[:, :, None]
+    H_tt = -2.0 * np.sum(y * S0y, axis=1)[:, None, None]
+    H = np.concatenate([
+        np.concatenate([H_dd, H_dq, H_dt], axis=2),
+        np.concatenate([H_dq.transpose(0, 2, 1), H_qq, H_qt], axis=2),
+        np.concatenate([H_dt.transpose(0, 2, 1), H_qt.transpose(0, 2, 1), H_tt], axis=2)],
+        axis=1)
+    scale = np.abs(lam).max(axis=1)
+    gap = lam[:, 1:] - lam[:, :1]
+    inv = np.divide(-2.0, gap, out=np.zeros_like(gap), where=gap > 1e-9 * scale[:, None])
+    C = np.einsum("bdk,bjd->bkj", X[:, :, 1:], s)
+    H += np.einsum("bkj,bk,bkl->bjl", C, inv, C)
+    return lam[:, 0], grad, H, scale
+
+
+class TestCurvatureReference:
+    """curvature against the einsum reference it replaced, to rounding."""
+
+    @staticmethod
+    def assert_matches(problem, W, t):
+        got, ref = problem.curvature(W, t), _einsum_curvature(problem, W, t)
+        for new, old in zip(got, ref):
+            assert new.shape == old.shape
+            np.testing.assert_array_less(np.abs(new - old), 1e-12 * np.maximum(1.0, np.abs(old)))
+
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    @pytest.mark.parametrize("test_field", ["real", "complex"])
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 3), (3, 2), (2, 1), (3, 1)])
+    def test_matches_reference(self, kind, test_field, n, m):
+        A = pe.random_elliptic_tensor(n, m, "legendre-perturbed", seed=10 * n + m)
+        problem = conditions._make_problem(A, kind, test_field)
+        rng = np.random.default_rng(n + m)
+        W = problem._normalize(rng.standard_normal((6, problem.dim)))
+        for t in (-0.5, 0.0, 0.3, rng.uniform(-0.6, 0.6, 6)):
+            self.assert_matches(problem, W, t)
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 1)])
+    def test_matches_reference_at_double_lambda_min(self, n, m):
+        # complex direction-frozen rows at t = 0, where lambda_min is double
+        A = pe.random_elliptic_tensor(n, m, "legendre-perturbed", seed=10 * n + m)
+        problem = conditions._make_problem(A, "lh", "complex")
+        W = problem._normalize(np.random.default_rng(1).standard_normal((4, problem.dim)))
+        lam = problem._eig(W, 0.0)[0]
+        assert np.allclose(lam[:, 0], lam[:, 1], rtol=0, atol=1e-12)
+        self.assert_matches(problem, W, 0.0)
 
 
 class TestPolish:

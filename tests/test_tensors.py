@@ -190,6 +190,32 @@ class TestFieldSampling:
         with pytest.raises(InputError):
             pe.sample_field(pe.TensorField.constant(A), [0.5], eps=0.5)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.5, np.nan, np.inf, -np.inf, 1e-320])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        tensors = [pe.CoefficientTensor(np.full((1, 1, 1, 1), float(k) + 0j)) for k in range(4)]
+        F = pe.TensorField.sampled(tensors, grid=(4,), periodic=True)
+        with pytest.raises(InputError, match="eps must be positive"):
+            F.rescaled(eps)
+        with pytest.raises(InputError, match="eps must be positive"):
+            pe.sample_field(F, [0.7], eps=eps)
+
+    @pytest.mark.parametrize("eps", [2.0, 1e13, 0.4])
+    def test_rescaled_needs_reciprocal_of_positive_integer(self, eps):
+        tensors = [pe.CoefficientTensor(np.full((1, 1, 1, 1), float(k) + 0j)) for k in range(4)]
+        F = pe.TensorField.sampled(tensors, grid=(4,), periodic=True)
+        with pytest.raises(InputError, match="reciprocal of a positive integer"):
+            F.rescaled(eps)
+
+    def test_rescaled_by_tiny_eps_reduces_the_factor(self):
+        # 1/1e-300 is an integer in floating point; the lattice map takes it
+        # modulo the grid instead of overflowing
+        tensors = [pe.CoefficientTensor(np.full((1, 1, 1, 1), float(k) + 0j)) for k in range(4)]
+        F = pe.TensorField.sampled(tensors, grid=(4,), periodic=True)
+        k = int(round(1.0 / 1e-300))
+        G = F.rescaled(1e-300)
+        assert [t.entries[0, 0, 0, 0].real for t in G.iter_tensors()] == [
+            float(k * i % 4) for i in range(4)]
+
     def test_rescaled_permutes_samples(self):
         rng = np.random.default_rng(0)
         tensors = [
