@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError, NumericalFailureError
+from .errors import DimensionMismatchError, InputError, NumericalFailureError, finite_arithmetic
 from .runtime import substream
 from .tensors import (
     CoefficientTensor,
@@ -476,7 +476,8 @@ def minimize(problem: _FormProblem, fg, W: np.ndarray) -> PolishResult:
     retracted by ``problem._normalize``. fg(X, rows) gives the values,
     Euclidean gradients and Hessians at the normalized rows X, which are
     the rows ``rows`` (indices into W) of the batch, so a row may carry its
-    own t, and each row's scale (max |lambda|), below 1e-6 of which a
+    own t, and each row's scale in the units of its value (max |lambda| for
+    a margin, ``_end_derivatives``' for a range end), below 1e-6 of which a
     Hessian eigenvalue counts as flat (``_newton``). A row steps along
     d = -|H|^-1 g, trying the unit step first and halving it until the
     Armijo condition holds. A row stops once the decrease -g.d/2 predicted
@@ -546,11 +547,13 @@ def _make_problem(A: CoefficientTensor, kind: str, field_mode: str):
     raise InputError(f"unknown condition kind: {kind}")
 
 
+@finite_arithmetic()
 def strong_margin(A: CoefficientTensor, cfg: SearchConfig) -> MarginResult:
     """Estimated inf over unit (xi, omega) of the strong form at cfg.t."""
     return _minimize_directions(_make_problem(A, "strong", cfg.resolve_field(A)), cfg)
 
 
+@finite_arithmetic()
 def lh_margin(A: CoefficientTensor, cfg: SearchConfig) -> MarginResult:
     """Estimated inf over unit (eta, omega, q) of the direction-frozen form."""
     return _minimize_directions(_make_problem(A, "lh", cfg.resolve_field(A)), cfg)
@@ -558,7 +561,9 @@ def lh_margin(A: CoefficientTensor, cfg: SearchConfig) -> MarginResult:
 
 def _end_derivatives(problem: _FormProblem, W: np.ndarray, t: np.ndarray):
     """Gradient and Hessian in W of the end tau(W) with lambda(W, tau) = 0,
-    at the normalized rows W and their ends t, and max |lambda|:
+    at the normalized rows W and their ends t, and the Hessian's scale in
+    t's units, max |lambda| / |lambda_t|, so that ``_newton``'s eigenvalue
+    floor does not depend on the tensor's units:
     g = -grad lambda / lambda_t and H = -(hess lambda + m g^T + g m^T +
     lambda_tt g g^T) / lambda_t with m = d/dt grad lambda. Ends at +-1 or
     0, or where lambda_t = 0, do not move: g = 0 and H = 0."""
@@ -570,9 +575,10 @@ def _end_derivatives(problem: _FormProblem, W: np.ndarray, t: np.ndarray):
     m = hess[:, :-1, -1, None] * g[:, None]
     H = -(hess[:, :-1, :-1] + m + m.transpose(0, 2, 1)
           + hess[:, -1:, -1:] * g[:, :, None] * g[:, None]) / lt[:, None, None]
-    return g, np.where(moves[:, None, None], H, 0.0), scale
+    return g, np.where(moves[:, None, None], H, 0.0), scale / np.abs(lt)
 
 
+@finite_arithmetic()
 def threshold_ends(A: CoefficientTensor, kind: str, cfg: SearchConfig) -> tuple[float, float]:
     """(t_lo, t_hi): the first singular t on each side of 0 at the best
     direction found per side, which estimates inf of t_hi(omega) (sup of

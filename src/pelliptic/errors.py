@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the guard that turns
+non-finite arithmetic into a numerical failure."""
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class PellipticError(Exception):
@@ -26,3 +31,17 @@ class NumericalFailureError(PellipticError, RuntimeError):
 
 class GenerationError(PellipticError, RuntimeError):
     """A random generator could not meet its construction contract."""
+
+
+@contextmanager
+def finite_arithmetic():
+    """Floating-point overflow or an invalid operation inside raises
+    NumericalFailureError instead of carrying inf or NaN on. A NaN reads
+    as "not positive", so a search that ran on one would report a tensor
+    near the top of the double range as failing its condition. Usable as
+    a decorator."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalFailureError(f"non-finite arithmetic ({exc})", partial=None) from exc

@@ -7,12 +7,20 @@ Gradients are forward differences anchored at the cell's base corner; the
 direction field v/|v| and the degenerate-cell threshold are evaluated at
 the same base corner, and coefficient tensors are sampled at cell
 midpoints. The discrete quotient and the weighted-coercivity estimate
-share one per-cell decomposition (_cell_pieces). Desk-scale limits:
+share one per-cell decomposition (_decompose). Desk-scale limits:
 n in {2, 3}, 8 <= N <= 65, m <= 4, and 1 < p < inf.
 
 The kernels work on chunks: trials stacked along a leading axis. The
 falsifier draws and scores up to CHUNK_BUDGET lattice points x channels
-of trials at a time; a single grid or quotient is a chunk of one.
+of trials at a time; a single grid or quotient is a chunk of one. Inside
+the kernels a grid is real planes, shape (K, parts, m, N, ..., N), with
+parts 1 for a real grid and 2 (real part, imaginary part) for a complex
+one, so every lattice operation runs on contiguous planes, and cell
+quantities are real vectors in the (part, h, a) coordinates of
+``conditions._pairing_matrix``. A field whose cells all hold one tensor is
+paired with one Gram product per trial; other fields cell by cell. Only
+``random_test_grid`` and a returned counterexample convert a grid to the
+public layout (N, ..., N, m), complex.
 
 A positive exact strong margin at t(p) certifies the integral condition;
 the margin ``strong_margin`` estimates is an upper bound on it and
@@ -26,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conditions import _pairing_matrix
 from .errors import InputError, NumericalFailureError
 from .runtime import parallel_map, substream
 from .tensors import TensorField, _nearest_index
@@ -44,24 +53,42 @@ def _check_points(N: int) -> None:
         raise InputError(f"points per axis must lie in [{MIN_POINTS}, {MAX_POINTS}]")
 
 
-def _check_grids(values: np.ndarray) -> None:
-    """Checks a chunk of test grids, shape (K, N, ..., N, m)."""
-    n = values.ndim - 2
+def _check_grids(planes: np.ndarray) -> None:
+    """Checks a chunk of test grids as planes, shape (K, parts, m, N, ..., N)."""
+    n = planes.ndim - 3
     if n not in (2, 3):
         raise InputError("test grids support n in {2, 3}")
-    shape = values.shape[1:-1]
+    shape = planes.shape[3:]
     if len(set(shape)) != 1:
         raise InputError("lattice must have equal points per axis")
     N = shape[0]
     _check_points(N)
-    if values.shape[-1] > MAX_CHANNELS:
+    if planes.shape[2] > MAX_CHANNELS:
         raise InputError(f"at most {MAX_CHANNELS} channels supported")
-    if not np.all(np.isfinite(values)):
+    if not np.all(np.isfinite(planes)):
         raise InputError("test grid contains non-finite values")
-    for axis in range(1, n + 1):
+    for axis in range(3, 3 + n):
         for edge in (0, N - 1):
-            if np.any(np.take(values, edge, axis=axis) != 0):
+            if np.any(np.take(planes, edge, axis=axis) != 0):
                 raise InputError("test grid must vanish on the boundary layer")
+
+
+def _planes(values: np.ndarray) -> np.ndarray:
+    """One grid in the public layout (N, ..., N, m) as a chunk of one in
+    planes (1, parts, m, N, ..., N): parts is 1 when the grid is real."""
+    values = np.atleast_1d(values)
+    parts = (values.real, values.imag) if np.any(values.imag) else (values.real,)
+    return np.moveaxis(np.stack(parts), -1, 1)[None]
+
+
+def _complex(x: np.ndarray) -> np.ndarray:
+    """Real planes with the part axis first, (parts, ...), as complex (...)."""
+    return x[0] if len(x) == 1 else x[0] + 1j * x[1]
+
+
+def _grid_values(planes: np.ndarray) -> np.ndarray:
+    """One grid's planes (parts, m, N, ..., N) in the public layout (N, ..., N, m)."""
+    return np.moveaxis(_complex(planes), 0, -1)
 
 
 def _chunk_size(n: int, N: int, m: int) -> int:
@@ -78,7 +105,7 @@ class TestFunctionGrid:
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=complex)
-        _check_grids(arr[None])
+        _check_grids(_planes(arr))
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -111,20 +138,6 @@ class Counterexample:
             raise InputError("counterexample quotient must be <= 0")
 
 
-def _forward_gradient(arr: np.ndarray, n: int, h: float) -> np.ndarray:
-    """Forward differences co-located at cell base corners, per trial of a chunk.
-
-    Input (K, N,..,N[,m]); output (K, N-1,..,N-1, n[, m]).
-    """
-    N = arr.shape[1]
-    cells = (slice(None),) + tuple(slice(0, N - 1) for _ in range(n))
-    comps = []
-    for d in range(n):
-        hi = (slice(None),) + tuple(slice(1, N) if a == d else slice(0, N - 1) for a in range(n))
-        comps.append((arr[hi] - arr[cells]) / h)
-    return np.stack(comps, axis=1 + n)
-
-
 def _cell_tensors(F: TensorField, n: int, N: int) -> np.ndarray:
     """Coefficient tensor per cell midpoint, flattened shape (cells, n, n, m, m)."""
     if F.is_constant:
@@ -135,14 +148,16 @@ def _cell_tensors(F: TensorField, n: int, N: int) -> np.ndarray:
     return F.samples[_nearest_index(pts, F.grid, F.periodic)]
 
 
-def _pairing_matrices(F: TensorField, n: int, N: int) -> np.ndarray:
-    """The cell tensors as (cells, n*m, n*m) matrices with rows (h, alpha)
-    and columns (k, beta), so that <A x, y> over a cell is x M conj(y).
-    A real field gives real matrices: the falsifier probes it with real test
-    functions, which are then scored in real arithmetic."""
-    nm = n * F.m
+def _cell_pairing(F: TensorField, n: int, N: int, parts: int) -> np.ndarray:
+    """The cell tensors as real pairing matrices (``conditions._pairing_matrix``)
+    in (part, h, a) coordinates, with the cells last: shape (d, d, cells),
+    d = parts*n*m, so that Re<A x, y> over cell c is y . G[:, :, c] x. A
+    field whose cells all hold one tensor (a constant field, or identical
+    samples) gives that one matrix, shape (d, d, 1)."""
     A = _cell_tensors(F, n, N)
-    return (A.real if F.is_real else A).transpose(0, 1, 3, 2, 4).reshape(-1, nm, nm)
+    if len(A) > 1 and np.all(A == A[0]):
+        A = A[:1]
+    return np.ascontiguousarray(np.moveaxis(_pairing_matrix(A, parts), 0, -1))
 
 
 def _check_field(F: TensorField, n: int, m: int):
@@ -161,54 +176,75 @@ def _check_exponent(p: float):
         raise InputError(f"p must lie in (1, inf), got {p}")
 
 
-def _cell_pieces(values: np.ndarray):
-    """Per trial of a chunk of grids (K, N, ..., N, m): the forward gradient
-    per cell (K, cells, n, m), base values (K, cells, m) and their channel
-    norms |v|, the non-degenerate cells (base |v| above DEGENERATE_REL times
-    the trial's largest |v|), and |v| on the whole lattice."""
-    K, N, n, m = len(values), values.shape[1], values.ndim - 2, values.shape[-1]
-    mag = np.abs(np.sqrt(np.einsum("...a,...a->...", values, np.conj(values)).real))
-    cells = (slice(None),) + tuple(slice(0, N - 1) for _ in range(n))
-    base_mag = mag[cells].reshape(K, -1)
-    ok = base_mag > DEGENERATE_REL * mag.reshape(K, -1).max(axis=1)[:, None]
-    grad = _forward_gradient(values, n, 1.0 / (N - 1)).reshape(K, -1, n, m)
-    return grad, values[cells].reshape(K, -1, m), base_mag, ok, mag
+def _decompose(planes: np.ndarray):
+    """The per-cell decomposition of a chunk of grids, planes (K, parts, m,
+    N, ..., N). Returns Z, shape (K, 2, d, cells) with d = parts*n*m in
+    (part, h, a) coordinates, holding per trial the forward gradient xi
+    (Z[:, 0]) and the direction term g (Z[:, 1]); the base-corner planes
+    (K, parts, m, N-1, ..., N-1); and the non-degenerate cells (K, N-1, ...,
+    N-1), whose base |v| exceeds DEGENERATE_REL times the trial's largest
+    |v|. g is (v/|v|)(base) times the forward gradient of |v|, and zero on
+    the other cells."""
+    K, parts, m, N = planes.shape[:3] + planes.shape[-1:]
+    n, h = planes.ndim - 3, 1.0 / (N - 1)
+    lo = (Ellipsis,) + (slice(0, N - 1),) * n
+    flat = planes.reshape(K, parts * m, -1)
+    mag = np.sqrt(np.einsum("kjl,kjl->kl", flat, flat)).reshape((K,) + planes.shape[3:])
+    ok = mag[lo] > DEGENERATE_REL * mag.reshape(K, -1).max(axis=1).reshape((K,) + (1,) * n)
+    Z = np.empty((K, 2, parts, n, m) + (N - 1,) * n)
+    grad_mag = np.empty((K, n) + (N - 1,) * n)
+    for d in range(n):
+        hi = (Ellipsis,) + tuple(slice(1, N) if a == d else slice(0, N - 1) for a in range(n))
+        np.subtract(planes[hi], planes[lo], out=Z[:, 0, :, d])
+        np.subtract(mag[hi], mag[lo], out=grad_mag[:, d])
+    Z[:, 0] /= h
+    grad_mag /= h
+    base = planes[lo]
+    direction = np.divide(base, mag[lo][:, None, None], out=np.zeros(base.shape),
+                          where=ok[:, None, None])
+    np.multiply(direction[:, :, None], grad_mag[:, None, :, None], out=Z[:, 1])
+    return Z.reshape(K, 2, parts * n * m, -1), base, ok
 
 
-def _direction_pieces(values: np.ndarray):
-    """Per trial and cell: the gradient xi (K, cells, n, m) and the projected
-    term g, zero on cells under the degenerate threshold."""
-    xi, base, base_mag, ok, mag = _cell_pieces(values)
-    N, n = values.shape[1], values.ndim - 2
-    grad_mag = _forward_gradient(mag, n, 1.0 / (N - 1)).reshape(len(values), -1, n)
-    direction = np.divide(base, base_mag[..., None], out=np.zeros_like(base), where=ok[..., None])
-    return xi, direction[:, :, None, :] * grad_mag[..., None]
+def _pair_cells(G: np.ndarray, Z: np.ndarray, a, b):
+    """Per trial of a chunk: the sum over cells of y . G(cell) x, with
+    y = sum_i a_i Z_i and x = sum_j b_j Z_j, and the sum of |Z_0|^2.
 
-
-def _pair_cells(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per trial, Re sum over cells of <A(cell) x_cell, y_cell>, with x and
-    y of shape (K, cells, n*m); a constant field's single pairing matrix
-    broadcasts over every cell, with the same arithmetic per cell."""
-    Mx = (x[..., None, :] @ M)[..., 0, :]
-    return np.sum((Mx * np.conj(y)).reshape(len(x), -1), axis=1).real
-
-
-def _scored(M: np.ndarray, p: float, values: np.ndarray):
-    """Quotients of a chunk of grids (K, N, ..., N, m), yielded in trial order
-    as (index in the chunk, quotient).
-
-    The whole chunk is computed at once. Each trial's checks run as it is
-    yielded, so a trial raises what it would raise alone, and only after
-    every earlier trial of the chunk has been handed out.
+    Z, shape (K, r, d, cells), holds r real fields per trial in (part, h, a)
+    coordinates, and G is ``_cell_pairing``'s. One pairing matrix (a
+    uniform field) takes one Gram product per trial, C = Z Z^T, and reads
+    both sums off it: sum_ij a_i b_j <G, C_ij> and tr C_00. Per-cell
+    matrices take a per-cell contraction along the cells.
     """
-    K, nm = len(values), (values.ndim - 2) * values.shape[-1]
+    K, r, d, _ = Z.shape
+    if G.shape[-1] == 1:
+        flat = Z.reshape(K, r * d, -1)
+        C = (flat @ flat.transpose(0, 2, 1)).reshape(K, r, d, r, d)
+        return np.einsum("i,j,kiajb,ab->k", a, b, C, G[..., 0]), np.einsum("kaa->k", C[:, 0, :, 0])
+    y, x = np.einsum("i,kiac->kac", a, Z), np.einsum("i,kiac->kac", b, Z)
+    Gx = np.einsum("abc,kbc->kac", G, x)
+    return np.einsum("kac,kac->k", y, Gx), np.einsum("kac,kac->k", Z[:, 0], Z[:, 0])
+
+
+def _scored(G: np.ndarray, p: float, planes: np.ndarray):
+    """Quotients of a chunk of grids in planes (K, parts, m, N, ..., N),
+    yielded in trial order as (index in the chunk, quotient), for the
+    pairing matrices G of ``_cell_pairing`` in the same parts.
+
+    The whole chunk is computed at once: one cell decomposition
+    (``_decompose``), then, per trial, num = sum over cells of
+    (xi + t g) . G (xi - t g) and denom = sum of |xi|^2 (``_pair_cells``),
+    which for a uniform field are <G, C_xx - t C_xg + t C_gx - t^2 C_gg> and
+    tr C_xx of the one Gram product C of [xi; g]. Each trial's checks run as
+    it is yielded, so a trial raises what it would raise alone, and only
+    after every earlier trial of the chunk has been handed out.
+    """
+    K = len(planes)
     t = 1.0 - 2.0 / p
-    nonzero = values.reshape(K, -1).any(axis=1)
-    xi, g = _direction_pieces(values)
-    finite = np.isfinite(xi).reshape(K, -1).all(axis=1) & np.isfinite(g).reshape(K, -1).all(axis=1)
-    denom = np.sum((np.abs(xi) ** 2).reshape(K, -1), axis=1)
-    tg = t * g
-    num = _pair_cells(M, (xi - tg).reshape(K, -1, nm), (xi + tg).reshape(K, -1, nm))
+    nonzero = planes.reshape(K, -1).any(axis=1)
+    Z = _decompose(planes)[0]
+    finite = np.isfinite(Z).reshape(K, -1).all(axis=1)
+    num, denom = _pair_cells(G, Z, np.array([1.0, t]), np.array([1.0, -t]))
     for k in range(K):
         if not nonzero[k]:
             raise InputError("test function is identically zero")
@@ -230,24 +266,29 @@ def discrete_quotient(F: TensorField, p: float, v: TestFunctionGrid) -> float:
     """
     _check_exponent(p)
     _check_field(F, v.n, v.m)
-    return next(_scored(_pairing_matrices(F, v.n, v.N), p, v.values[None]))[1]
+    planes = _planes(v.values)
+    return next(_scored(_cell_pairing(F, v.n, v.N, planes.shape[1]), p, planes))[1]
 
 
-def _random_direction(rng, dim, real):
-    v = rng.standard_normal(dim)
-    if not real:
-        v = v + 1j * rng.standard_normal(dim)
+def _random_direction(rng, dim, parts):
+    """A random unit vector of R^dim (parts 1) or C^dim (parts 2), as its
+    real and imaginary parts, shape (parts, dim)."""
+    v = rng.standard_normal((parts, dim))
     return v / np.linalg.norm(v)
 
 
 def _draw_grids(n: int, N: int, m: int, rngs, real: bool) -> np.ndarray:
-    """random_test_grid's values for each generator, stacked (K, N, ..., N, m).
+    """random_test_grid's values for each generator, stacked as planes
+    (K, parts, m, N, ..., N): parts is 1 for real draws and 2 (real part,
+    imaginary part) for complex ones.
 
     Each generator draws what random_test_grid draws, in the same order;
     the grids are then assembled at once: one sine contraction per axis
-    over the stacked coefficients, and the carrier, rider and noise terms
-    broadcast over the trials that drew a carrier. Real draws stay real.
+    over the stacked coefficients, which leaves the channels ahead of the
+    lattice, and the carrier, rider and noise terms on whole planes of the
+    trials that drew a carrier.
     """
+    parts = 1 if real else 2
     x = np.linspace(0.0, 1.0, N)
     sines = np.stack([np.sin(np.pi * f * x) for f in range(1, _MAX_FREQ + 1)])
     sines[:, 0] = 0.0
@@ -256,15 +297,14 @@ def _draw_grids(n: int, N: int, m: int, rngs, real: bool) -> np.ndarray:
     for _ in range(n - 1):
         bump = np.multiply.outer(bump, sines[0])
 
-    shape = (_MAX_FREQ,) * n + (m,)
+    shape = (_MAX_FREQ,) * n + (m, parts)
     coeffs, carriers = [], []
     for k, rng in enumerate(rngs):
-        draws = rng.standard_normal(shape if real else shape + (2,))
-        coeffs.append(draws if real else draws[..., 0] + 1j * draws[..., 1])
+        coeffs.append(rng.standard_normal(shape))
         if rng.random() < 0.6:
-            carrier_dir = _random_direction(rng, m, real)
-            rider_dir = _random_direction(rng, m, real)
-            q = _random_direction(rng, n, True)
+            carrier_dir = _random_direction(rng, m, parts)
+            rider_dir = _random_direction(rng, m, parts)
+            q = _random_direction(rng, n, 1)[0]
             freq = float(rng.integers(2, _MAX_FREQ + 1))
             phase = 2.0 * np.pi * rng.random()
             carrier_amp = 0.2 + 2.0 * rng.random()
@@ -272,29 +312,30 @@ def _draw_grids(n: int, N: int, m: int, rngs, real: bool) -> np.ndarray:
             noise_level = 0.02 * rng.random() * carrier_amp
             carriers.append((k, carrier_dir, rider_dir, q, freq, phase,
                              carrier_amp, ratio, noise_level))
-    values = np.stack(coeffs) * (1.0 / (1.0 + np.indices(shape[:-1]).sum(axis=0)))[..., None]
+    weights = 1.0 / (1.0 + np.indices(shape[:n]).sum(axis=0))
+    values = np.moveaxis(np.stack(coeffs) * weights[..., None, None], -1, 1)
     for _ in range(n):
-        values = np.tensordot(values, sines, axes=(1, 0))
-    values = np.moveaxis(values, 1, -1)
+        values = np.tensordot(values, sines, axes=(2, 0))
 
     if carriers:
         index, carrier_dir, rider_dir, q, freq, phase, carrier_amp, ratio, noise_level = (
             np.array(column) for column in zip(*carriers))
-        lattice = (slice(None),) + (None,) * n        # a per-trial scalar over the lattice
-        channels = lattice + (None,)                   # ... and over the channels
-        vectors = lattice + (slice(None),)             # a per-trial channel vector
+        lattice = (slice(None),) + (None,) * n      # a per-trial scalar over the lattice
+        whole = lattice + (None, None)              # ... and over the parts and channels
+        vectors = (slice(None),) * 3 + (None,) * n  # a per-trial (parts, m) vector
         mesh = np.meshgrid(*([x] * n), indexing="ij")
         wave = np.sin(2.0 * np.pi * freq[lattice] * sum(qd[lattice] * g for qd, g in zip(q.T, mesh))
                       + phase[lattice])
-        rider = (carrier_amp * ratio)[channels] * ((wave * bump)[..., None] * rider_dir[vectors])
+        rider = (carrier_amp * ratio)[whole] * ((wave * bump)[:, None, None] * rider_dir[vectors])
         sums = values[index]
-        peak = np.maximum(np.abs(sums).reshape(len(index), -1).max(axis=1), 1e-300)
+        peak = np.maximum(np.sqrt(np.sum(sums * sums, axis=1)).reshape(len(index), -1).max(axis=1),
+                          1e-300)
         values[index] = (
-            carrier_amp[channels] * (bump[..., None] * carrier_dir[vectors])
+            carrier_amp[whole] * (bump * carrier_dir[vectors])
             + rider
-            + noise_level[channels] * sums / peak[channels]
+            + noise_level[whole] * sums / peak[whole]
         )
-    return np.ascontiguousarray(values)
+    return values
 
 
 def random_test_grid(n: int, N: int, m: int, rng: np.random.Generator,
@@ -313,7 +354,7 @@ def random_test_grid(n: int, N: int, m: int, rng: np.random.Generator,
     and stream position; the sum is one sine contraction per axis. The grid
     is a chunk of one of the falsifier's stacked draw (_draw_grids).
     """
-    return TestFunctionGrid(_draw_grids(n, N, m, [rng], real)[0])
+    return TestFunctionGrid(_grid_values(_draw_grids(n, N, m, [rng], real)[0]))
 
 
 def falsify_integral(F: TensorField, p: float, trials: int, seed: int = 0,
@@ -334,17 +375,17 @@ def falsify_integral(F: TensorField, p: float, trials: int, seed: int = 0,
     _check_exponent(p)
     n, m = F.n, F.m
     _check_field(F, n, m)
-    M = _pairing_matrices(F, n, N)
+    G = _cell_pairing(F, n, N, 1 if F.is_real else 2)
     size = _chunk_size(n, N, m)
 
     def run(start: int):
         rngs = [substream(seed, trial) for trial in range(start, min(start + size, trials))]
-        values = _draw_grids(n, N, m, rngs, F.is_real)
-        _check_grids(values)
-        for k, q in _scored(M, p, values):
+        planes = _draw_grids(n, N, m, rngs, F.is_real)
+        _check_grids(planes)
+        for k, q in _scored(G, p, planes):
             if q <= 0.0:
-                return Counterexample(grid=TestFunctionGrid(values[k]), quotient=q, p=p,
-                                      trial=start + k, seed=seed)
+                return Counterexample(grid=TestFunctionGrid(_grid_values(planes[k])), quotient=q,
+                                      p=p, trial=start + k, seed=seed)
         return None
 
     for hit in parallel_map(run, range(0, trials, size)):
@@ -413,28 +454,35 @@ def lambda_p_estimate(F: TensorField, p: float, trials: int, seed: int = 0,
 
     Minimum over random test grids of
     Re sum <A grad u, grad(|u|^{p-2} u)> / sum |u|^{p-2} |grad u|^2,
-    chain-rule expanded per cell on the quotient's cell pieces (base values
-    and forward gradients); cells under the quotient's degenerate threshold
-    are dropped from both sums. Positive whenever the strong margin at t(p) is.
+    chain-rule expanded per cell on the quotient's cell decomposition
+    (``_decompose``: base values and forward gradients); cells under the
+    quotient's degenerate threshold are dropped from both sums. Positive whenever the strong margin at t(p) is.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
     _check_points(N)
     n, m = F.n, F.m
     _check_field(F, n, m)
-    M = _pairing_matrices(F, n, N)
+    parts = 1 if F.is_real else 2
+    G = _cell_pairing(F, n, N, parts)
     best = np.inf
     for trial in range(trials):
-        grid = random_test_grid(n, N, m, substream(seed, trial), real=F.is_real)
-        grad, base, _, ok, _ = (piece[0] for piece in _cell_pieces(grid.values[None]))
-        u, grad, w, dmag, grad_sq, _ = _weighted_gradient_pieces(base[ok], grad[ok], p)
+        planes = _draw_grids(n, N, m, [substream(seed, trial)], F.is_real)
+        _check_grids(planes)
+        Z, base, ok = _decompose(planes)
+        ok = ok.reshape(-1)
+        u, grad, w, dmag, grad_sq, _ = _weighted_gradient_pieces(
+            _complex(base[0].reshape(parts, m, -1)[..., ok]).T,
+            np.moveaxis(_complex(Z[0, 0].reshape(parts, n, m, -1)[..., ok]), -1, 0), p)
         # grad(|u|^{p-2} u) = (p-2) w^{p-3} d|u| u + w^{p-2} grad u
         target = (
             (p - 2.0) * (w ** (p - 3.0))[:, None, None] * dmag[:, :, None] * u[:, None, :]
             + (w ** (p - 2.0))[:, None, None] * grad
         )
-        num = _pair_cells(M[ok] if len(M) > 1 else M,
-                          grad.reshape(1, -1, n * m), target.reshape(1, -1, n * m))[0]
+        fields = np.stack([[z.real, z.imag][:parts] for z in (grad, target)])   # (2, parts, S, n, m)
+        fields = np.moveaxis(fields, 2, -1).reshape(1, 2, -1, len(u))
+        num = _pair_cells(G if G.shape[-1] == 1 else G[..., ok], fields,
+                          np.array([0.0, 1.0]), np.array([1.0, 0.0]))[0][0]
         den = float(np.sum((w ** (p - 2.0)) * grad_sq))
         if den <= 0:
             continue

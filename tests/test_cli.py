@@ -347,6 +347,24 @@ class TestContracts:
                              check=True, env=env)
         assert out.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("argv", [["range"], ["range", "--kind", "lh"], ["check", "--p", "3"],
+                                      ["falsify", "--p", "3", "--trials", "5"]])
+    def test_overflowing_tensor_is_a_numerical_failure(self, tmp_path, argv):
+        # finite entries whose sums overflow: a NaN form would read as "not
+        # positive", and range would answer an empty range with exit 1
+        A = pe.random_elliptic_tensor(2, 2, "hermitian-positive", seed=1)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(tensor_to_json(
+            pe.CoefficientTensor(A.entries * (1.7e308 / np.abs(A.entries).max())))))
+        src = str(Path(pe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-m", "pelliptic.cli", argv[0], str(path), *argv[1:]],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("numerical failure: ")
+
     def test_bad_p_exit_two(self, capsys, identity_file):
         code, _, err = run_cli(capsys, "check", identity_file, "--p", "1.0")
         assert code == 2

@@ -10,7 +10,6 @@ import pytest
 import pelliptic as pe
 from pelliptic import integral
 from pelliptic.errors import InputError
-from pelliptic.integral import _forward_gradient
 from pelliptic.runtime import substream
 from test_acceptance import make_batch
 
@@ -52,12 +51,12 @@ class TestDiscreteQuotient:
             # quotient does: forward differences, base-anchored threshold
             arr = v.values
             h = 1.0 / (v.N - 1)
-            grad = _forward_gradient(arr[None], 2, h)[0]
+            grad = _forward_differences(integral._planes(arr)[0], 2, h)
             mag = np.linalg.norm(arr, axis=-1)
-            gmag = _forward_gradient(mag[None], 2, h)[0]
+            gmag = _forward_differences(mag, 2, h)
             base = mag[:-1, :-1]
             mask = base > 1e-12 * mag.max()
-            num = np.sum(gmag[mask] ** 2)
+            num = np.sum(gmag[:, mask] ** 2)
             den = np.sum(np.abs(grad) ** 2)
             assert q == pytest.approx(1 - t * t * num / den, abs=1e-12)
             assert 1 - t * t - 1e-12 <= q <= 1 + 1e-12
@@ -137,9 +136,21 @@ class TestDiscreteQuotient:
         assert picked.tolist() == even + [0 if periodic else 15]
 
 
+def _forward_differences(x, n, h):
+    """Forward differences over the last n (lattice) axes of x, at the
+    cells' base corners, stacked on a new first axis: (n, ..., N-1, ..., N-1)."""
+    N = x.shape[-1]
+    lo = (Ellipsis,) + (slice(0, N - 1),) * n
+    return np.stack([(x[(Ellipsis,) + tuple(slice(1, N) if a == d else slice(0, N - 1)
+                                            for a in range(n))] - x[lo]) / h
+                     for d in range(n)])
+
+
 def _interior_factorization(F, p, v):
     """Ratio Q_cells(p)/Q_cells(2) over non-degenerate cells only."""
-    xi, g = (piece[0] for piece in integral._direction_pieces(v.values[None]))
+    planes = integral._planes(v.values)
+    Z = integral._decompose(planes)[0][0].reshape(2, planes.shape[1], v.n, v.m, -1)
+    xi, g = (np.moveaxis(integral._complex(z), -1, 0) for z in Z)
     A_cells = integral._cell_tensors(F, v.n, v.N)
     t = 1 - 2 / p
     live = np.abs(g).sum(axis=(1, 2)) > 0
@@ -160,11 +171,11 @@ def _collect_quotients(monkeypatch, grids=None):
     original = integral._scored
     quotients = []
 
-    def collected(M, p, values):
-        for k, q in original(M, p, values):
+    def collected(G, p, planes):
+        for k, q in original(G, p, planes):
             quotients.append(q)
             if grids is not None:
-                grids.append(values[k])
+                grids.append(integral._grid_values(planes[k]))
             yield k, q
 
     monkeypatch.setattr(integral, "_scored", collected)
@@ -290,6 +301,73 @@ class TestTestGridDraw:
                 assert np.all(got.imag == 0.0)
             # the stream is left where the scalar draws leave it
             assert ours.random() == ref.random()
+        # the falsifier's chunk of the same trials, one plane per part and channel
+        planes = integral._draw_grids(n, N, m, [substream(seed, 1) for seed in range(40)], real)
+        assert planes.shape == (40, 1 if real else 2, m) + (N,) * n
+        assert planes.flags.c_contiguous
+        for seed, got in enumerate(planes):
+            want = _scalar_draw_grid(n, N, m, substream(seed, 1), real)
+            want = np.moveaxis(np.stack([want.real, want.imag][:len(got)]), -1, 1)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _einsum_quotient(F, p, v):
+    """discrete_quotient recomputed cell by cell in complex arithmetic on the
+    public layout, with one einsum over the cell tensors."""
+    arr, n, N = v.values, v.n, v.N
+    h, t = 1.0 / (N - 1), 1.0 - 2.0 / p
+    lo = (slice(0, N - 1),) * n
+    xi = np.moveaxis(_forward_differences(np.moveaxis(arr, -1, 0), n, h), (0, 1), (-2, -1))
+    mag = np.linalg.norm(arr, axis=-1)
+    live = mag[lo] > 1e-12 * mag.max()
+    direction = np.zeros_like(arr[lo])
+    direction[live] = arr[lo][live] / mag[lo][live][:, None]
+    g = direction[..., None, :] * np.moveaxis(_forward_differences(mag, n, h), 0, -1)[..., None]
+    xi, g = xi.reshape(-1, n, v.m), g.reshape(-1, n, v.m)
+    A = np.broadcast_to(integral._cell_tensors(F, n, N), (len(xi), n, n, v.m, v.m))
+    num = np.einsum("chkab,cha,ckb->", A, xi - t * g, np.conj(xi + t * g)).real
+    return num / np.sum(np.abs(xi) ** 2)
+
+
+class TestCellPairing:
+    """The per-cell contraction and the one-Gram-product pairing against an
+    independent einsum, and which fields take which."""
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sampled_field_matches_einsum_reference(self, n, m, real):
+        N = 17 if n == 2 else 9
+        grid = (3, 4) if n == 2 else (2, 3, 2)
+        rng = np.random.default_rng(10 * n + m)
+        samples = rng.standard_normal(grid + (n, n, m, m))
+        if not real:
+            samples = samples + 1j * rng.standard_normal(samples.shape)
+        F = pe.TensorField(samples, grid)
+        assert integral._cell_pairing(F, n, N, 1 if real else 2).shape[-1] == (N - 1) ** n
+        for seed in range(3):
+            v = pe.random_test_grid(n, N, m, substream(seed, 0), real=real)
+            for p in (1.5, 4.0):
+                want = _einsum_quotient(F, p, v)
+                assert pe.discrete_quotient(F, p, v) == pytest.approx(want, abs=1e-14 * max(1.0, abs(want)))
+        # the constant field of the first sample takes the Gram product
+        C = pe.TensorField.constant(pe.CoefficientTensor(samples[(0,) * n]))
+        v = pe.random_test_grid(n, N, m, substream(7, 0), real=real)
+        want = _einsum_quotient(C, 3.0, v)
+        assert pe.discrete_quotient(C, 3.0, v) == pytest.approx(want, abs=1e-14 * max(1.0, abs(want)))
+
+    def test_uniform_fields_take_one_gram_product(self):
+        A = pe.lame_tensor(1.0, 0.7, 0.3, 2)
+        grid = (3, 3)
+        identical = np.broadcast_to(A.entries, grid + A.entries.shape).copy()
+        one_off = identical.copy()
+        one_off[2, 1, 0, 0, 0, 0] += 1e-9
+        for F, cells in ((pe.TensorField.constant(A), 1), (pe.TensorField(identical, grid), 1),
+                         (pe.TensorField(one_off, grid), 16 ** 2)):
+            assert integral._cell_pairing(F, 2, 17, 1).shape == (4, 4, cells)
+        p = 2.0 / (1.0 - np.sqrt(0.9))
+        assert (pe.lambda_p_estimate(pe.TensorField(identical, grid), p, trials=3, seed=2)
+                == pe.lambda_p_estimate(pe.TensorField.constant(A), p, trials=3, seed=2))
 
 
 class TestFalsifierReference:

@@ -11,6 +11,7 @@ import pelliptic as pe
 from pelliptic import conditions, prange
 from pelliptic.cli import main, tensor_to_json
 from pelliptic.errors import InputError
+from test_acceptance import make_batch
 
 
 class TestConversions:
@@ -146,6 +147,36 @@ class TestConditionRange:
         assert np.ptp(ends, axis=0).max() <= 1e-9
         assert ends[0, 1] == pytest.approx(0.264741, abs=1e-6)
         assert pe.duality_residual(A, "strong", pe.SearchConfig(seed=1)) <= 1e-9
+
+
+class TestUnitScaling:
+    """Range ends have no units: c * A has the ends of A. Before the polish
+    floored a range end's Hessian in t's units, c = 1e9 left most ends too
+    wide, by up to 0.06 on these tensors."""
+
+    SCALES = (1e-6, 1e3, 1e9)
+
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    @pytest.mark.parametrize("index", [30, 34, 32, 44])   # complex (3, 3), (2, 3); real (2, 2) twice
+    def test_scaled_tensor_has_the_same_ends(self, index, kind):
+        A = make_batch(index + 1, 5000)[index]
+        cfg = pe.SearchConfig(seed=5)
+        r = pe.condition_range(A, kind, cfg)
+        for c in self.SCALES:
+            scaled = pe.condition_range(pe.CoefficientTensor(c * A.entries), kind, cfg)
+            assert scaled.t_lo == pytest.approx(r.t_lo, abs=1e-9)
+            assert scaled.t_hi == pytest.approx(r.t_hi, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    def test_scaled_field_has_the_same_ends(self, kind):
+        batch = make_batch(45, 5000)
+        samples = np.stack([batch[32].entries, batch[44].entries])
+        cfg = pe.SearchConfig(seed=5)
+        r = pe.field_range(pe.TensorField(samples, (2,)), kind, cfg)
+        for c in self.SCALES:
+            scaled = pe.field_range(pe.TensorField(c * samples, (2,)), kind, cfg)
+            assert scaled.t_lo == pytest.approx(r.t_lo, abs=1e-9)
+            assert scaled.t_hi == pytest.approx(r.t_hi, abs=1e-9)
 
 
 def _shifted(A, c):
