@@ -5,8 +5,8 @@ Test functions live on a regular lattice over [0,1]^n with N points per
 axis (spacing h = 1/(N-1)) and vanish identically on the boundary layer.
 Gradients are forward differences anchored at the cell's base corner; the
 direction field v/|v| and the degenerate-cell threshold are evaluated at
-the same base corner, and coefficient tensors are sampled at cell
-midpoints. The discrete quotient and the weighted-coercivity estimate
+the same base corner, and each cell takes the field's sample nearest its
+midpoint. The discrete quotient and the weighted-coercivity estimate
 share one per-cell decomposition (_decompose). Desk-scale limits:
 n in {2, 3}, 8 <= N <= 65, m <= 4, and 1 < p < inf.
 
@@ -22,6 +22,11 @@ paired with one Gram product per trial; other fields cell by cell. Only
 ``random_test_grid`` and a returned counterexample convert a grid to the
 public layout (N, ..., N, m), complex.
 
+Set-up happens once per call, and nothing is cached between calls: the
+cell pairing pairs the field's S samples and gathers them by a per-cell
+sample index (_cell_tensors, _cell_pairing), and the lattice's sine table,
+bump and weights (_lattice_tables) serve every chunk's draw.
+
 A positive exact strong margin at t(p) certifies the integral condition;
 the margin ``strong_margin`` estimates is an upper bound on it and
 certifies nothing. The falsifier can only ever refute: "no counterexample
@@ -31,6 +36,7 @@ found" is not a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +57,11 @@ _MAX_FREQ = 4
 def _check_points(N: int) -> None:
     if not MIN_POINTS <= N <= MAX_POINTS:
         raise InputError(f"points per axis must lie in [{MIN_POINTS}, {MAX_POINTS}]")
+
+
+def _check_exponent(p: float):
+    if not 1.0 < p < np.inf:
+        raise InputError(f"p must lie in (1, inf), got {p}")
 
 
 def _check_grids(planes: np.ndarray) -> None:
@@ -134,30 +145,40 @@ class Counterexample:
     seed: int
 
     def __post_init__(self):
-        if self.quotient > 0:
+        if not self.quotient <= 0:
             raise InputError("counterexample quotient must be <= 0")
+        _check_exponent(self.p)
+        if self.trial < 0:
+            raise InputError("counterexample trial must be >= 0")
 
 
-def _cell_tensors(F: TensorField, n: int, N: int) -> np.ndarray:
-    """Coefficient tensor per cell midpoint, flattened shape (cells, n, n, m, m)."""
+def _cell_tensors(F: TensorField, n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The field's samples, flattened to shape (S, n, n, m, m), and each
+    cell's sample index, shape (cells,), with the (N-1)^n cells in C order.
+    Cell c holds samples[index[c]], the sample nearest its midpoint
+    (``tensors._nearest_index``, taken per axis). A constant field is its one
+    sample, S = 1, with an all-zero index."""
     if F.is_constant:
-        return F.samples[None]
-    h = 1.0 / (N - 1)
-    axes = [(np.arange(N - 1) + 0.5) * h for _ in range(n)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    return F.samples[_nearest_index(pts, F.grid, F.periodic)]
+        return F.samples[None], np.zeros((N - 1) ** n, dtype=np.intp)
+    mid = (np.arange(N - 1) + 0.5) * (1.0 / (N - 1))
+    j = _nearest_index(mid[:, None], F.grid, F.periodic)
+    index = np.ravel_multi_index(np.ix_(*j), F.grid).reshape(-1)
+    return F.samples.reshape((-1,) + F.samples.shape[len(F.grid):]), index
 
 
 def _cell_pairing(F: TensorField, n: int, N: int, parts: int) -> np.ndarray:
     """The cell tensors as real pairing matrices (``conditions._pairing_matrix``)
     in (part, h, a) coordinates, with the cells last: shape (d, d, cells),
-    d = parts*n*m, so that Re<A x, y> over cell c is y . G[:, :, c] x. A
-    field whose cells all hold one tensor (a constant field, or identical
-    samples) gives that one matrix, shape (d, d, 1)."""
-    A = _cell_tensors(F, n, N)
-    if len(A) > 1 and np.all(A == A[0]):
-        A = A[:1]
-    return np.ascontiguousarray(np.moveaxis(_pairing_matrix(A, parts), 0, -1))
+    d = parts*n*m, so that Re<A x, y> over cell c is y . G[:, :, c] x. The
+    samples are paired once each and the cells then gathered, which gives
+    the same matrices as pairing every cell. A field whose cells all hold
+    one tensor (a constant field, or one whose samples in use are equal)
+    gives that one matrix, shape (d, d, 1)."""
+    samples, index = _cell_tensors(F, n, N)
+    first = samples[index[:1]]
+    if np.all(samples[np.bincount(index, minlength=len(samples)) > 0] == first):
+        return np.ascontiguousarray(np.moveaxis(_pairing_matrix(first, parts), 0, -1))
+    return np.take(np.moveaxis(_pairing_matrix(samples, parts), 0, -1), index, axis=-1)
 
 
 def _check_field(F: TensorField, n: int, m: int):
@@ -169,11 +190,6 @@ def _check_field(F: TensorField, n: int, m: int):
         raise InputError(f"at most {MAX_CHANNELS} channels supported")
     if not F.is_constant and len(F.grid) != n:
         raise InputError("sampled fields must have an n-dimensional lattice here")
-
-
-def _check_exponent(p: float):
-    if not 1.0 < p < np.inf:
-        raise InputError(f"p must lie in (1, inf), got {p}")
 
 
 def _decompose(planes: np.ndarray):
@@ -274,21 +290,25 @@ def _random_direction(rng, dim, parts):
     """A random unit vector of R^dim (parts 1) or C^dim (parts 2), as its
     real and imaginary parts, shape (parts, dim)."""
     v = rng.standard_normal((parts, dim))
-    return v / np.linalg.norm(v)
+    return v / np.sqrt(v.ravel() @ v.ravel())
 
 
-def _draw_grids(n: int, N: int, m: int, rngs, real: bool) -> np.ndarray:
-    """random_test_grid's values for each generator, stacked as planes
-    (K, parts, m, N, ..., N): parts is 1 for real draws and 2 (real part,
-    imaginary part) for complex ones.
+class _LatticeTables(NamedTuple):
+    """What every random test grid on one lattice is built from, read-only:
+    the sines sin(pi f x), f = 1..4, shape (4, N), with exact zeros on the
+    boundary; the bump, the f = 1 sine's tensor product, shape (N, ..., N);
+    the sine-sum weights 1/(1 + f_1 + ... + f_n), shape (4,) * n; and the
+    coordinate x along each lattice axis, shaped to broadcast over the
+    lattice."""
 
-    Each generator draws what random_test_grid draws, in the same order;
-    the grids are then assembled at once: one sine contraction per axis
-    over the stacked coefficients, which leaves the channels ahead of the
-    lattice, and the carrier, rider and noise terms on whole planes of the
-    trials that drew a carrier.
-    """
-    parts = 1 if real else 2
+    sines: np.ndarray
+    bump: np.ndarray
+    weights: np.ndarray
+    axes: tuple
+
+
+def _lattice_tables(n: int, N: int) -> _LatticeTables:
+    """The tables of the lattice with N points per axis in n dimensions."""
     x = np.linspace(0.0, 1.0, N)
     sines = np.stack([np.sin(np.pi * f * x) for f in range(1, _MAX_FREQ + 1)])
     sines[:, 0] = 0.0
@@ -296,7 +316,27 @@ def _draw_grids(n: int, N: int, m: int, rngs, real: bool) -> np.ndarray:
     bump = sines[0]
     for _ in range(n - 1):
         bump = np.multiply.outer(bump, sines[0])
+    weights = 1.0 / (1.0 + np.indices((_MAX_FREQ,) * n).sum(axis=0))
+    for table in (x, sines, bump, weights):
+        table.flags.writeable = False
+    axes = tuple(x.reshape((N,) + (1,) * (n - 1 - d)) for d in range(n))
+    return _LatticeTables(sines, bump, weights, axes)
 
+
+def _draw_grids(tables: _LatticeTables, m: int, rngs, real: bool) -> np.ndarray:
+    """random_test_grid's values for each generator, stacked as planes
+    (K, parts, m, N, ..., N): parts is 1 for real draws and 2 (real part,
+    imaginary part) for complex ones. The lattice is the one of ``tables``
+    (``_lattice_tables``), which a caller drawing many chunks builds once.
+
+    Each generator draws what random_test_grid draws, in the same order;
+    the grids are then assembled at once: one sine contraction per axis
+    over the stacked coefficients, which leaves the channels ahead of the
+    lattice, and the carrier, rider and noise terms on whole planes of the
+    trials that drew a carrier.
+    """
+    n = tables.bump.ndim
+    parts = 1 if real else 2
     shape = (_MAX_FREQ,) * n + (m, parts)
     coeffs, carriers = [], []
     for k, rng in enumerate(rngs):
@@ -312,10 +352,9 @@ def _draw_grids(n: int, N: int, m: int, rngs, real: bool) -> np.ndarray:
             noise_level = 0.02 * rng.random() * carrier_amp
             carriers.append((k, carrier_dir, rider_dir, q, freq, phase,
                              carrier_amp, ratio, noise_level))
-    weights = 1.0 / (1.0 + np.indices(shape[:n]).sum(axis=0))
-    values = np.moveaxis(np.stack(coeffs) * weights[..., None, None], -1, 1)
+    values = np.moveaxis(np.stack(coeffs) * tables.weights[..., None, None], -1, 1)
     for _ in range(n):
-        values = np.tensordot(values, sines, axes=(2, 0))
+        values = np.tensordot(values, tables.sines, axes=(2, 0))
 
     if carriers:
         index, carrier_dir, rider_dir, q, freq, phase, carrier_amp, ratio, noise_level = (
@@ -323,15 +362,14 @@ def _draw_grids(n: int, N: int, m: int, rngs, real: bool) -> np.ndarray:
         lattice = (slice(None),) + (None,) * n      # a per-trial scalar over the lattice
         whole = lattice + (None, None)              # ... and over the parts and channels
         vectors = (slice(None),) * 3 + (None,) * n  # a per-trial (parts, m) vector
-        mesh = np.meshgrid(*([x] * n), indexing="ij")
-        wave = np.sin(2.0 * np.pi * freq[lattice] * sum(qd[lattice] * g for qd, g in zip(q.T, mesh))
-                      + phase[lattice])
-        rider = (carrier_amp * ratio)[whole] * ((wave * bump)[:, None, None] * rider_dir[vectors])
+        along = sum(qd[lattice] * x for qd, x in zip(q.T, tables.axes))   # q . x over the lattice
+        wave = np.sin(2.0 * np.pi * freq[lattice] * along + phase[lattice])
+        rider = (carrier_amp * ratio)[whole] * ((wave * tables.bump)[:, None, None] * rider_dir[vectors])
         sums = values[index]
         peak = np.maximum(np.sqrt(np.sum(sums * sums, axis=1)).reshape(len(index), -1).max(axis=1),
                           1e-300)
         values[index] = (
-            carrier_amp[whole] * (bump * carrier_dir[vectors])
+            carrier_amp[whole] * (tables.bump * carrier_dir[vectors])
             + rider
             + noise_level[whole] * sums / peak[whole]
         )
@@ -354,7 +392,7 @@ def random_test_grid(n: int, N: int, m: int, rng: np.random.Generator,
     and stream position; the sum is one sine contraction per axis. The grid
     is a chunk of one of the falsifier's stacked draw (_draw_grids).
     """
-    return TestFunctionGrid(_grid_values(_draw_grids(n, N, m, [rng], real)[0]))
+    return TestFunctionGrid(_grid_values(_draw_grids(_lattice_tables(n, N), m, [rng], real)[0]))
 
 
 def falsify_integral(F: TensorField, p: float, trials: int, seed: int = 0,
@@ -375,12 +413,14 @@ def falsify_integral(F: TensorField, p: float, trials: int, seed: int = 0,
     _check_exponent(p)
     n, m = F.n, F.m
     _check_field(F, n, m)
-    G = _cell_pairing(F, n, N, 1 if F.is_real else 2)
+    real = F.is_real
+    G = _cell_pairing(F, n, N, 1 if real else 2)
+    tables = _lattice_tables(n, N)
     size = _chunk_size(n, N, m)
 
     def run(start: int):
         rngs = [substream(seed, trial) for trial in range(start, min(start + size, trials))]
-        planes = _draw_grids(n, N, m, rngs, F.is_real)
+        planes = _draw_grids(tables, m, rngs, real)
         _check_grids(planes)
         for k, q in _scored(G, p, planes):
             if q <= 0.0:
@@ -463,11 +503,13 @@ def lambda_p_estimate(F: TensorField, p: float, trials: int, seed: int = 0,
     _check_points(N)
     n, m = F.n, F.m
     _check_field(F, n, m)
-    parts = 1 if F.is_real else 2
+    real = F.is_real
+    parts = 1 if real else 2
     G = _cell_pairing(F, n, N, parts)
+    tables = _lattice_tables(n, N)
     best = np.inf
     for trial in range(trials):
-        planes = _draw_grids(n, N, m, [substream(seed, trial)], F.is_real)
+        planes = _draw_grids(tables, m, [substream(seed, trial)], real)
         _check_grids(planes)
         Z, base, ok = _decompose(planes)
         ok = ok.reshape(-1)

@@ -9,6 +9,7 @@ import pytest
 
 import pelliptic as pe
 from pelliptic import integral
+from pelliptic.conditions import _pairing_matrix
 from pelliptic.errors import InputError
 from pelliptic.runtime import substream
 from test_acceptance import make_batch
@@ -110,9 +111,12 @@ class TestDiscreteQuotient:
 
     # grid (16, 16) at N = 17 puts every midpoint coordinate (i + 1/2)/16 * 16
     # exactly on a rounding tie; the last one rounds to 16, which wraps to 0
-    # on a periodic field and clamps to 15 otherwise
+    # on a periodic field and clamps to 15 otherwise. At N = 9 the same grid
+    # is finer than the cells, which leave every even sample unused; a (1, 1)
+    # grid gives every cell its one sample
     @pytest.mark.parametrize("grid,N", [((16, 16), 17), ((3, 5), 17), ((7, 2), 9),
-                                        ((4, 4, 4), 9), ((2, 3, 5), 8)])
+                                        ((4, 4, 4), 9), ((2, 3, 5), 8), ((16, 16), 9),
+                                        ((1, 1), 9)])
     @pytest.mark.parametrize("periodic", [False, True])
     def test_cell_gather_matches_pointwise_sampling(self, grid, N, periodic):
         n = len(grid)
@@ -122,7 +126,9 @@ class TestDiscreteQuotient:
         mid = (np.arange(N - 1) + 0.5) * (1.0 / (N - 1))   # cell midpoints, as the quotient takes them
         expected = np.stack([pe.sample_field(F, np.array(x)).entries
                              for x in itertools.product(mid, repeat=n)])
-        gathered = integral._cell_tensors(F, n, N)
+        samples, index = integral._cell_tensors(F, n, N)
+        assert samples.shape == (np.prod(grid), n, n, 2, 2)
+        gathered = samples[index]
         assert gathered.shape == expected.shape
         assert np.array_equal(gathered, expected)
 
@@ -131,7 +137,8 @@ class TestDiscreteQuotient:
         # 1-D lattice of 16 points, 16 cells: midpoint i + 1/2 goes to the
         # even neighbour, and 15.5 -> 16 wraps to 0 or clamps to 15
         F = pe.TensorField(np.arange(16.0).reshape(16, 1, 1, 1, 1), (16,), periodic=periodic)
-        picked = integral._cell_tensors(F, 1, 17)[:, 0, 0, 0, 0].real
+        samples, index = integral._cell_tensors(F, 1, 17)
+        picked = samples[index][:, 0, 0, 0, 0].real
         even = [i + i % 2 for i in range(15)]
         assert picked.tolist() == even + [0 if periodic else 15]
 
@@ -151,11 +158,11 @@ def _interior_factorization(F, p, v):
     planes = integral._planes(v.values)
     Z = integral._decompose(planes)[0][0].reshape(2, planes.shape[1], v.n, v.m, -1)
     xi, g = (np.moveaxis(integral._complex(z), -1, 0) for z in Z)
-    A_cells = integral._cell_tensors(F, v.n, v.N)
+    samples, index = integral._cell_tensors(F, v.n, v.N)
     t = 1 - 2 / p
     live = np.abs(g).sum(axis=(1, 2)) > 0
     xi, g = xi[live], g[live]
-    A = A_cells if A_cells.shape[0] == 1 else A_cells[live]
+    A = samples if samples.shape[0] == 1 else samples[index][live]
 
     def pair(x, y):
         if A.shape[0] == 1:
@@ -302,7 +309,8 @@ class TestTestGridDraw:
             # the stream is left where the scalar draws leave it
             assert ours.random() == ref.random()
         # the falsifier's chunk of the same trials, one plane per part and channel
-        planes = integral._draw_grids(n, N, m, [substream(seed, 1) for seed in range(40)], real)
+        planes = integral._draw_grids(integral._lattice_tables(n, N), m,
+                                      [substream(seed, 1) for seed in range(40)], real)
         assert planes.shape == (40, 1 if real else 2, m) + (N,) * n
         assert planes.flags.c_contiguous
         for seed, got in enumerate(planes):
@@ -324,7 +332,8 @@ def _einsum_quotient(F, p, v):
     direction[live] = arr[lo][live] / mag[lo][live][:, None]
     g = direction[..., None, :] * np.moveaxis(_forward_differences(mag, n, h), 0, -1)[..., None]
     xi, g = xi.reshape(-1, n, v.m), g.reshape(-1, n, v.m)
-    A = np.broadcast_to(integral._cell_tensors(F, n, N), (len(xi), n, n, v.m, v.m))
+    samples, index = integral._cell_tensors(F, n, N)
+    A = samples[index]
     num = np.einsum("chkab,cha,ckb->", A, xi - t * g, np.conj(xi + t * g)).real
     return num / np.sum(np.abs(xi) ** 2)
 
@@ -368,6 +377,80 @@ class TestCellPairing:
         p = 2.0 / (1.0 - np.sqrt(0.9))
         assert (pe.lambda_p_estimate(pe.TensorField(identical, grid), p, trials=3, seed=2)
                 == pe.lambda_p_estimate(pe.TensorField.constant(A), p, trials=3, seed=2))
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pairing_matches_per_cell_reference(self, n, real, periodic):
+        # reference: gather each cell's tensor at its midpoint, then pair
+        # every cell, with the cells last
+        N, m = (17, 2) if n == 2 else (9, 3)
+        grid = (5, 3) if n == 2 else (3, 2, 4)
+        rng = np.random.default_rng(n + 2 * real + 4 * periodic)
+        samples = rng.standard_normal(grid + (n, n, m, m))
+        if not real:
+            samples = samples + 1j * rng.standard_normal(samples.shape)
+        F = pe.TensorField(samples, grid, periodic=periodic)
+        parts = 1 if real else 2
+        mid = (np.arange(N - 1) + 0.5) * (1.0 / (N - 1))
+        cells = np.stack([pe.sample_field(F, np.array(x)).entries
+                          for x in itertools.product(mid, repeat=n)])
+        want = np.moveaxis(_pairing_matrix(cells, parts), 0, -1)
+        got = integral._cell_pairing(F, n, N, parts)
+        assert got.shape == want.shape == (parts * n * m,) * 2 + ((N - 1) ** n,)
+        assert np.array_equal(got, want)
+
+    def test_unused_samples_leave_a_field_uniform(self):
+        # at N = 9 the (16, 16) grid's cells use only its odd-odd samples
+        A = pe.lame_tensor(1.0, 0.7, 0.3, 2)
+        samples = np.random.default_rng(3).standard_normal((16, 16) + A.entries.shape) + 0j
+        samples[1::2, 1::2] = A.entries
+        F = pe.TensorField(samples, (16, 16))
+        used = np.unique(integral._cell_tensors(F, 2, 9)[1])
+        assert len(used) == 64 and np.all(used // 16 % 2 == 1) and np.all(used % 2 == 1)
+        assert integral._cell_pairing(F, 2, 9, 1).shape == (4, 4, 1)
+        constant = pe.TensorField.constant(A)
+        p = 2.0 / (1.0 - np.sqrt(0.9))
+        for seed in range(4):
+            v = pe.random_test_grid(2, 9, 2, np.random.default_rng(seed))
+            assert pe.discrete_quotient(F, p, v) == pe.discrete_quotient(constant, p, v)
+
+
+class TestLatticeTables:
+    """The sine table, bump, weights and coordinates a lattice's draws are
+    built from: read-only, and built once per falsifier or estimate call."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tables_are_read_only(self, n):
+        tables = integral._lattice_tables(n, 9)
+        for table in (tables.sines, tables.bump, tables.weights) + tables.axes:
+            with pytest.raises(ValueError):
+                table[...] = 0.0
+
+    def _count(self, monkeypatch, name):
+        calls = []
+        original = getattr(integral, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(integral, name, counted)
+        return calls
+
+    def test_falsifier_builds_tables_once(self, monkeypatch):
+        built = self._count(monkeypatch, "_lattice_tables")
+        draws = self._count(monkeypatch, "_draw_grids")
+        assert pe.falsify_integral(IDENTITY_2, 3.0, trials=10, seed=0, N=33) is None
+        assert len(draws) == 4   # chunks of 3 trials
+        assert built == [(2, 33)]
+
+    def test_estimate_builds_tables_once(self, monkeypatch):
+        built = self._count(monkeypatch, "_lattice_tables")
+        draws = self._count(monkeypatch, "_draw_grids")
+        pe.lambda_p_estimate(IDENTITY_2, 3.0, trials=3, seed=0)
+        assert len(draws) == 3
+        assert built == [(2, 17)]
 
 
 class TestFalsifierReference:
@@ -578,3 +661,13 @@ class TestGridValidation:
         grid = pe.random_test_grid(2, 9, 1, rng)
         with pytest.raises(InputError):
             pe.Counterexample(grid=grid, quotient=0.5, p=3.0, trial=0, seed=0)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("quotient", np.nan, "quotient"), ("p", np.nan, "p must"), ("p", 1.0, "p must"),
+        ("p", np.inf, "p must"), ("p", 0.5, "p must"), ("trial", -5, "trial")])
+    def test_counterexample_must_refute(self, field, value, match):
+        grid = pe.random_test_grid(2, 9, 1, np.random.default_rng(4))
+        valid = dict(grid=grid, quotient=0.0, p=3.0, trial=0, seed=0)
+        assert pe.Counterexample(**valid).quotient == 0.0
+        with pytest.raises(InputError, match=match):
+            pe.Counterexample(**{**valid, field: value})
