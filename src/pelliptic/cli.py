@@ -2,9 +2,16 @@
 
 Subcommands: check | range | lame | solvability | falsify. Tensor and
 field files use one versioned schema ({"schema": 1, ...}); infinity is
-serialized as the string "inf". Every output embeds a run manifest; the
-result payload is byte-identical across reruns with the same inputs and
-seed (the manifest's duration_ms field is the one timing-dependent value).
+serialized as the string "inf". Every number a document carries (tensor
+entries, field samples, modulus values) is read by one decoder that admits
+JSON numbers only.
+
+Each ``_cmd_*`` returns ``(result, exit_code, facts)``; ``main`` alone times
+the run and prints ``{"manifest": ..., "result": ...}``. The manifest holds
+the command, every other parsed option but the seed (``config``), the seed,
+the version, ``duration_ms`` and the command's run counters (``facts``).
+The result payload is byte-identical across reruns with the same inputs and
+seed (``duration_ms`` is the one timing-dependent value).
 
 Exit codes: 0 success, 1 refuted / empty range (still valid output),
 2 input error, 3 numerical failure.
@@ -49,10 +56,24 @@ def _complex_to_json(z: np.ndarray) -> list:
     return np.stack([z.real, z.imag], axis=-1).tolist()
 
 
-def _entries_from_json(node) -> np.ndarray:
-    arr = np.asarray(node, dtype=float)
-    if arr.ndim != 5 or arr.shape[-1] != 2:
-        raise InputError("entries must be nested [h][k][alpha][beta] -> [re, im]")
+def _numbers_from_json(node, what: str) -> np.ndarray:
+    """Float array of a regular nested list of JSON numbers; a string, a
+    boolean, null, a ragged list or an integer beyond the float range is an
+    input error."""
+    arr = np.asarray(node, dtype=object)
+    if not set(map(type, arr.ravel().tolist())) <= {int, float}:
+        raise InputError(f"{what} must be a regular nested list of JSON numbers")
+    try:
+        return arr.astype(float)
+    except OverflowError as exc:
+        raise InputError(f"{what}: {exc}") from exc
+
+
+def _complex_from_json(node, shape: tuple, what: str) -> np.ndarray:
+    """Complex array of the given shape from nested [re, im] pairs."""
+    arr = _numbers_from_json(node, what)
+    if arr.shape != shape + (2,):
+        raise InputError(f"{what} -> [re, im] must have shape {shape + (2,)}, got {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -111,23 +132,14 @@ def _integer(value, name: str) -> int:
 def _parse_document(doc: dict) -> TensorField:
     n, m = _integer(doc["n"], "n"), _integer(doc["m"], "m")
     if "grid" not in doc:
-        entries = _entries_from_json(doc["entries"])
-        if entries.shape != (n, n, m, m):
-            raise InputError(f"entries shape {entries.shape} does not match n={n}, m={m}")
+        entries = _complex_from_json(doc["entries"], (n, n, m, m), "entries [h][k][alpha][beta]")
         return TensorField.constant(CoefficientTensor(entries))
     grid = tuple(_integer(g, "grid entry") for g in doc["grid"])
     periodic = doc.get("periodic", False)
     if not isinstance(periodic, bool):
         raise InputError(f"periodic must be a JSON boolean, got {periodic!r}")
-    samples = doc.get("samples")
-    if samples is None:
-        raise InputError("field document needs a samples list")
-    body = np.asarray(samples, dtype=float)
-    count = int(np.prod(grid))
-    if body.shape != (count, n, n, m, m, 2):
-        raise InputError(f"expected {count} samples of [h][k][alpha][beta] -> [re, im] with "
-                         f"n={n}, m={m}, got shape {body.shape}")
-    body = body[..., 0] + 1j * body[..., 1]
+    body = _complex_from_json(doc["samples"], (int(np.prod(grid)), n, n, m, m),
+                              "samples [point][h][k][alpha][beta]")
     return TensorField(body.reshape(grid + (n, n, m, m)), grid, periodic=periodic)
 
 
@@ -164,20 +176,6 @@ def _finite_or_inf(x: float):
     return "inf" if x == math.inf else x
 
 
-def _emit(command: str, config: dict, seed, result: dict, started: float, **facts) -> None:
-    """Print the payload; ``facts`` (run counters) go in the manifest only."""
-    manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "version": __version__,
-        "duration_ms": round(1000.0 * (time.monotonic() - started), 3),
-        **facts,
-    }
-    print(json.dumps({"manifest": manifest, "result": result},
-                     sort_keys=True, default=_json_default))
-
-
 def _witness_json(witness) -> dict:
     out = {}
     if witness.xi is not None:
@@ -191,8 +189,9 @@ def _witness_json(witness) -> dict:
     return out
 
 
-def _cmd_check(args) -> int:
-    started = time.monotonic()
+def _cmd_check(args):
+    if not 1.0 < args.p < math.inf:
+        raise InputError(f"p must lie in (1, inf), got {args.p}")
     field = _read_input(args.input)
     if not field.is_constant:
         raise InputError("check expects a single tensor document")
@@ -220,25 +219,18 @@ def _cmd_check(args) -> int:
     else:
         result["classification"] = "inconclusive"
         code = EXIT_OK
-    _emit("check", {"input": args.input, "p": args.p,
-                    "starts": args.starts, "field": args.field},
-          args.seed, result, started,
-          evaluations=strong.evaluations + lh.evaluations,
-          polish_steps={"strong": strong.polish_steps, "lh": lh.polish_steps})
-    return code
+    return result, code, {"evaluations": strong.evaluations + lh.evaluations,
+                          "polish_steps": {"strong": strong.polish_steps, "lh": lh.polish_steps}}
 
 
-def _cmd_range(args) -> int:
-    started = time.monotonic()
+def _cmd_range(args):
     field = _read_input(args.input)
     cfg = SearchConfig(seed=args.seed, test_field=args.field)
     if field.is_constant:
         rng = condition_range(field.tensor_at_index(()), args.kind, cfg)
     else:
         rng = field_range(field, args.kind, cfg)
-    _emit("range", {"input": args.input, "kind": args.kind, "field": args.field},
-          args.seed, rng.as_dict(), started)
-    return EXIT_REFUTED if rng.empty else EXIT_OK
+    return rng.as_dict(), EXIT_REFUTED if rng.empty else EXIT_OK, {}
 
 
 def _load_scalar_field(path: str) -> np.ndarray:
@@ -247,14 +239,10 @@ def _load_scalar_field(path: str) -> np.ndarray:
     doc = _read_json(path)
     if not isinstance(doc, dict) or not _is_schema(doc.get("schema")) or "values" not in doc:
         raise InputError(f"{path}: expected a schema-1 scalar field with values")
-    try:
-        return np.asarray(doc["values"], dtype=float).ravel()
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: malformed values: {exc}") from exc
+    return _numbers_from_json(doc["values"], f"{path}: values").ravel()
 
 
-def _cmd_lame(args) -> int:
-    started = time.monotonic()
+def _cmd_lame(args):
     lam = _load_scalar_field(args.lambda_field)
     mu = _load_scalar_field(args.mu_field)
     if (lam is None) != (mu is None):
@@ -293,14 +281,10 @@ def _cmd_lame(args) -> int:
             "poisson_ok": adm.poisson_ok,
         },
     }
-    _emit("lame", {"n": args.n, "lambda": args.lam, "mu": args.mu, "mu0": args.mu0,
-                   "lambda_field": args.lambda_field, "mu_field": args.mu_field},
-          None, result, started)
-    return EXIT_OK
+    return result, EXIT_OK, {}
 
 
-def _cmd_solvability(args) -> int:
-    started = time.monotonic()
+def _cmd_solvability(args):
     if args.theorem == "extrapolation":
         if args.q is None or args.p0 is None:
             raise InputError("extrapolation needs --q and --p0")
@@ -330,13 +314,10 @@ def _cmd_solvability(args) -> int:
                 "theorem": "lame-corollary",
                 "p_up": _finite_or_inf(lame_dirichlet_upper(args.n, args.lam, args.mu)),
             }
-    _emit("solvability", {k: _finite_or_inf(v) for k, v in vars(args).items() if k != "func"},
-          None, result, started)
-    return EXIT_OK
+    return result, EXIT_OK, {}
 
 
-def _cmd_falsify(args) -> int:
-    started = time.monotonic()
+def _cmd_falsify(args):
     field = _read_input(args.input)
     hit = falsify_integral(field, args.p, args.trials, seed=args.seed, N=args.points)
     if hit is None:
@@ -359,10 +340,7 @@ def _cmd_falsify(args) -> int:
             "p": args.p,
         }
         code = EXIT_REFUTED
-    _emit("falsify", {"input": args.input, "p": args.p, "trials": args.trials,
-                      "points": args.points},
-          args.seed, result, started)
-    return code
+    return result, code, {}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -439,7 +417,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        started = time.monotonic()
+        result, code, facts = args.func(args)
+        manifest = {
+            "command": args.command,
+            "config": {k: _finite_or_inf(v) for k, v in vars(args).items()
+                       if k not in ("func", "command", "seed")},
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+            "duration_ms": round(1000.0 * (time.monotonic() - started), 3),
+            **facts,
+        }
+        print(json.dumps({"manifest": manifest, "result": result},
+                         sort_keys=True, default=_json_default))
+        return code
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -71,12 +71,6 @@ class PRange:
             raise InputError("empty range has no endpoints")
         return p_of_t(self.t_hi)
 
-    def contains_t(self, t: float) -> bool:
-        return (not self.empty) and self.t_lo < t < self.t_hi
-
-    def contains_p(self, p: float) -> bool:
-        return self.contains_t(t_of_p(p))
-
     def intersect(self, other: "PRange") -> "PRange":
         if self.empty or other.empty:
             return PRange(empty=True)

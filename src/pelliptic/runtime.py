@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 
 def substream(seed, *indices) -> np.random.Generator:
-    """Generator for an index-derived substream of ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, *map(int, indices)]))
+    """Generator for an index-derived substream of ``seed``, which must lie
+    in [0, 2**32): each seed names its own stream, none an alias of another."""
+    if not 0 <= int(seed) < 2**32:
+        raise InputError(f"seed must lie in [0, 2**32), got {seed}")
+    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, indices)]))
 
 
 def parallel_map(fn, items):

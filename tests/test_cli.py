@@ -369,6 +369,40 @@ class TestContracts:
         code, _, err = run_cli(capsys, "check", identity_file, "--p", "1.0")
         assert code == 2
 
+    # one call per subcommand and the keys of its result payload
+    _MANIFEST_CALLS = [
+        (("check", "{identity}", "--p", "4", "--starts", "8"),
+         {"p", "t", "strong_margin", "lh_margin", "strong_witness", "lh_witness",
+          "classification"}),
+        (("range", "{identity}", "--kind", "lh"), {"empty", "t_lo", "t_hi", "p_lo", "p_hi"}),
+        (("lame", "--n", "3", "--lambda", "1", "--mu", "1"),
+         {"n", "c_lower", "c_upper", "gamma_star", "r_star", "branch", "p_interval", "samples",
+          "admissibility"}),
+        (("solvability", "--theorem", "extrapolation", "--n", "3", "--q", "2", "--p0", "4"),
+         {"theorem", "p_lo", "p_hi", "lower_closed", "notes"}),
+        (("falsify", "{identity}", "--p", "4", "--trials", "2", "--points", "9", "--seed", "3"),
+         {"counterexample", "trials", "p", "note"}),
+    ]
+
+    @pytest.mark.parametrize("argv, result_keys", _MANIFEST_CALLS,
+                             ids=[argv[0] for argv, _ in _MANIFEST_CALLS])
+    def test_manifest_contract(self, capsys, identity_file, argv, result_keys):
+        # the manifest carries the command, every other parsed option but
+        # the seed, the seed, the version and the duration; check adds its
+        # two run counters
+        argv = [identity_file if a == "{identity}" else a for a in argv]
+        code, payload, _ = run_cli(capsys, *argv)
+        assert code == 0
+        manifest = payload["manifest"]
+        counters = {"evaluations", "polish_steps"} if argv[0] == "check" else set()
+        assert set(manifest) == {"command", "config", "seed", "version", "duration_ms"} | counters
+        args = vars(build_parser().parse_args(argv))
+        assert manifest["command"] == argv[0]
+        assert manifest["seed"] == args.get("seed")
+        assert manifest["config"] == {k: v for k, v in args.items()
+                                      if k not in ("func", "command", "seed")}
+        assert set(payload["result"]) == result_keys
+
     @pytest.mark.parametrize("case", ["no-moduli", "missing-field-file", "no-entries", "bad-n",
                                       "n-overflow", "grid-overflow", "lambda-inf",
                                       "lambda-field-overflow", "p0-text", "q-strong-nan",
@@ -378,12 +412,19 @@ class TestContracts:
                                       "falsify-points-huge", "check-starts-huge",
                                       "schema-true", "schema-float", "n-true", "m-float",
                                       "grid-float", "grid-false", "periodic-string",
-                                      "periodic-int"])
+                                      "periodic-int", "entries-string", "entries-true",
+                                      "samples-null", "values-string", "values-oversized",
+                                      "check-p-inf"] + [f"seed-{command}-{seed}"
+                                                        for command in ("range", "check", "falsify")
+                                                        for seed in ("-1", "4294967296")])
     def test_malformed_input_exit_two(self, capsys, tmp_path, case):
         # json reads 1e400 as inf
         field = field_to_json(pe.TensorField.sampled(
             [pe.CoefficientTensor.from_matrix(k * np.eye(1)) for k in (1.0, 2.0)], grid=(2,)))
         identity = tensor_to_json(pe.CoefficientTensor.identity(2, 2))
+        entries_true, samples_null = copy.deepcopy(identity["entries"]), copy.deepcopy(field["samples"])
+        entries_true[1][1][1][1][1] = True
+        samples_null[1][0][0][0][0][0] = None
         docs = {
             "no-entries": '{"schema": 1, "n": 2, "m": 2}',
             "bad-n": '{"schema": 1, "n": "x", "m": 2, "entries": []}',
@@ -399,13 +440,20 @@ class TestContracts:
             "grid-false": json.dumps(dict(field, grid=[False])),
             "periodic-string": json.dumps(dict(field, periodic="false")),
             "periodic-int": json.dumps(dict(field, periodic=0)),
+            # every entry and sample is a JSON number: no string, no bool
+            # (even among numbers), no null
+            "entries-string": '{"schema": 1, "n": 1, "m": 1, "entries": [[[[["1.5", 0]]]]]}',
+            "entries-true": json.dumps(dict(identity, entries=entries_true)),
+            "samples-null": json.dumps(dict(field, samples=samples_null)),
         }
         message = {"schema-true": "unsupported schema", "schema-float": "unsupported schema",
                    "n-true": "n must be a JSON integer", "m-float": "m must be a JSON integer",
                    "grid-float": "grid entry must be a JSON integer",
                    "grid-false": "grid entry must be a JSON integer",
                    "periodic-string": "periodic must be a JSON boolean",
-                   "periodic-int": "periodic must be a JSON boolean"}.get(case)
+                   "periodic-int": "periodic must be a JSON boolean",
+                   "entries-string": "JSON numbers", "entries-true": "JSON numbers",
+                   "samples-null": "JSON numbers"}.get(case)
         if case == "no-moduli":
             argv = ["lame", "--n", "3"]
         elif case == "missing-field-file":
@@ -420,6 +468,27 @@ class TestContracts:
             mu.write_text('{"schema": 1, "values": [1.0, 1.0]}')
             argv = ["lame", "--n", "3", "--lambda-field", str(lam), "--mu-field", str(mu)]
             message = "moduli must be finite"
+        elif case in ("values-string", "values-oversized"):
+            # an integer beyond the float range cannot be read as a float
+            lam, mu = tmp_path / "lam.json", tmp_path / "mu.json"
+            lam.write_text('{"schema": 1, "values": ["1.0", true]}' if case == "values-string"
+                           else '{"schema": 1, "values": [1.0, 1%s]}' % ("0" * 400))
+            mu.write_text('{"schema": 1, "values": [1.0, 1.0]}')
+            argv = ["lame", "--n", "3", "--lambda-field", str(lam), "--mu-field", str(mu)]
+            message = "JSON numbers" if case == "values-string" else "too large"
+        elif case == "check-p-inf":
+            path = tmp_path / "identity.json"
+            path.write_text(json.dumps(identity))
+            argv = ["check", str(path), "--p", "inf"]
+            message = "p must lie in (1, inf), got inf"
+        elif case.startswith("seed-"):
+            # a seed outside [0, 2**32) would replay another seed's draws
+            _, command, seed = case.split("-", 2)
+            path = tmp_path / "identity.json"
+            path.write_text(json.dumps(identity))
+            extra = {"range": [], "check": ["--p", "4"], "falsify": ["--p", "4", "--trials", "2"]}
+            argv = [command, str(path), *extra[command], f"--seed={seed}"]
+            message = "seed must lie in [0, 2**32)"
         elif case == "p0-text":
             argv = ["solvability", "--theorem", "extrapolation", "--n", "3", "--q", "2",
                     "--p0", "abc"]
@@ -483,7 +552,7 @@ class TestContracts:
 _LEAVES = st.one_of(
     st.integers(-3, 4),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([1e400, -1e400, math.nan, "inf", "1", "x", "", None, True]),
+    st.sampled_from([1e400, -1e400, math.nan, "inf", "1", "x", "", None, True, 10**400]),
 )
 _JSONISH = st.recursive(
     _LEAVES,
