@@ -37,6 +37,14 @@ is the classical t = 0 condition), and ``threshold_ends`` polishes both
 sides' best directions in one batch of the same polish, with the
 implicit-function derivatives of each end (``_end_derivatives``).
 
+A strong problem whose direction set is one orbit of a symmetry that G
+commutes with (m = 1; real fields on an n = m tensor invariant under
+rotations, such as every Lame tensor) is ``collapsed``: S(t) has the same
+spectrum at every direction, so a margin is one eigensolve and the ends one
+threshold solve at the first coordinate direction, with no starts and no
+polish. These values are exact up to rounding but still carry
+``certified=False``.
+
 Test-field convention: real tensors are tested with real states and real
 directions, complex tensors with complex ones (``SearchConfig.test_field``
 = "auto"); either choice can be forced.
@@ -50,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError, NumericalFailureError, finite_arithmetic
-from .runtime import substream
+from .runtime import check_seed, substream
 from .tensors import (
     CoefficientTensor,
     GradientState,
@@ -81,6 +89,7 @@ class SearchConfig:
             raise InputError(f"outer_starts must lie in [1, {MAX_STARTS}]")
         if self.test_field not in _TEST_FIELDS:
             raise InputError(f"test_field must be one of {_TEST_FIELDS}")
+        check_seed(self.seed)
 
     def resolve_field(self, A) -> str:
         if self.test_field != "auto":
@@ -173,6 +182,20 @@ def _pairing_matrix(entries: np.ndarray, parts: int) -> np.ndarray:
                            np.concatenate([im, re], axis=-1)], axis=-2)
 
 
+def _rotation_invariant(G: np.ndarray, n: int) -> bool:
+    """Whether the real pairing matrix G of an n = m tensor commutes, to
+    rounding, with every generator J (x) I + I (x) J of SO(n) acting on its
+    (h, a) coordinates (J = e_j e_i^T - e_i e_j^T, i < j):
+    max |[G, K]| <= 1e-13 max |G|."""
+    i, j = np.triu_indices(n, 1)
+    J = np.zeros((len(i), n, n))
+    J[np.arange(len(i)), j, i], J[np.arange(len(i)), i, j] = 1.0, -1.0
+    eye = np.eye(n)
+    K = np.einsum("gij,kl->gikjl", J, eye) + np.einsum("ij,gkl->gikjl", eye, J)
+    K = K.reshape(len(i), n * n, n * n)
+    return bool(np.abs(G @ K - K @ G).max() <= 1e-13 * np.abs(G).max())
+
+
 def _direction_basis(W: np.ndarray, n: int, parts: int, m: int) -> np.ndarray:
     """Batched orthonormal bases V of the real-linear map xi -> xi(omega).
 
@@ -229,6 +252,8 @@ class _FormProblem:
     separately normalized unit blocks (``splits``), and the witness built
     from an eigenvector (``_make_witness``).
     """
+
+    collapsed = False   # every direction gives S(t) the same spectrum (``_StrongProblem``)
 
     def __init__(self, A: CoefficientTensor, parts: int, dim: int, splits=()):
         self.parts, self.dim, self.splits = parts, dim, splits
@@ -397,12 +422,23 @@ class _FormProblem:
 
 
 class _StrongProblem(_FormProblem):
-    """Strong form: a candidate is the coordinate vector of omega."""
+    """Strong form: a candidate is the coordinate vector of omega.
+
+    ``collapsed`` when the direction set is one orbit of a symmetry that G
+    commutes with, so that S(t) at any direction is an orthogonal conjugate
+    of S(t) at e_1: for m = 1 (the phase orbit: a realified G commutes with
+    multiplication by i; real directions are +-1, with one Pi), and for real
+    fields with n = m when G commutes with the rotations R (x) R
+    (``_rotation_invariant``, e.g. every Lame tensor), since
+    (R (x) R) V(w) = V(R w) R and SO(n) is transitive on the unit sphere.
+    """
 
     def __init__(self, A: CoefficientTensor, parts: int):
         super().__init__(A, parts, parts * A.m)
         self.G = _pairing_matrix(self.entries, parts)
         self._G_split = super()._split(self.G)
+        self.collapsed = self.m == 1 or (
+            parts == 1 and self.n == self.m and _rotation_invariant(self.G, self.n))
 
     def _split(self, G):
         return self._G_split   # G is always self.G
@@ -514,8 +550,11 @@ def _search(problem: _FormProblem, cfg: SearchConfig, ts):
     """Margin search at every t of ts over the compact direction set: each t
     ranks the seeded starts and polishes its best POLISHED, all in one
     ``minimize`` with one t per row. Returns each t's best polished row, the
-    directions evaluated and the polish's batched steps."""
+    directions evaluated and the polish's batched steps. A collapsed problem
+    needs no search: e_1 wins at every t, with one evaluation per t."""
     ts = np.asarray(ts, dtype=float)
+    if problem.collapsed:
+        return np.tile(np.eye(1, problem.dim), (len(ts), 1)), len(ts), 0
     starts = _starts(cfg, cfg.outer_starts, problem.dim)
     ranked = problem.values(np.tile(starts, (len(ts), 1)), np.repeat(ts, len(starts)))
     rows = starts[np.argsort(ranked.reshape(len(ts), -1), axis=1)[:, :POLISHED]]
@@ -588,9 +627,13 @@ def threshold_ends(A: CoefficientTensor, kind: str, cfg: SearchConfig) -> tuple[
     batch by its own end, and one ``minimize`` polishes both sides' best
     POLISHED starts, with the implicit-function gradient and Hessian of each
     row's end (``_end_derivatives``); ends at +-1 or 0 do not move. The
-    polish minimizes t_hi and -t_lo.
+    polish minimizes t_hi and -t_lo. A collapsed problem takes both ends
+    from the one threshold solve at e_1, with no starts and no polish.
     """
     problem = _make_problem(A, kind, cfg.resolve_field(A))
+    if problem.collapsed:
+        t_lo, t_hi = problem.thresholds(np.eye(1, problem.dim))
+        return float(t_lo[0]), float(t_hi[0])
     starts = _starts(cfg, 4 * cfg.outer_starts, problem.dim)
     t_lo, t_hi = problem.thresholds(starts)
     if not t_hi.all():

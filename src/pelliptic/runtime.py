@@ -12,12 +12,17 @@ import numpy as np
 from .errors import InputError
 
 
-def substream(seed, *indices) -> np.random.Generator:
-    """Generator for an index-derived substream of ``seed``, which must lie
-    in [0, 2**32): each seed names its own stream, none an alias of another."""
+def check_seed(seed) -> int:
+    """``seed`` as an int, which must lie in [0, 2**32): each seed names its
+    own stream, none an alias of another."""
     if not 0 <= int(seed) < 2**32:
         raise InputError(f"seed must lie in [0, 2**32), got {seed}")
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, indices)]))
+    return int(seed)
+
+
+def substream(seed, *indices) -> np.random.Generator:
+    """Generator for an index-derived substream of ``seed`` (``check_seed``)."""
+    return np.random.default_rng(np.random.SeedSequence([check_seed(seed), *map(int, indices)]))
 
 
 def parallel_map(fn, items):

@@ -22,6 +22,8 @@ ASYMPTOTIC_CONSTANT = 2.0 / (1.0 - math.sqrt(8.0 * math.sqrt(2.0) - 11.0))
 
 # grid points per vectorised pass of the worst-ratio scan
 _SCAN_BLOCK = 1 << 16
+# largest worst-ratio grid: its scan takes about 14 s on a 2-core host
+MAX_GRID_POINTS = 10**8
 
 _DISPLAY_NOTE = (
     "upper endpoint follows the chain p0 = 2/(1 - sqrt(C)), "
@@ -172,8 +174,8 @@ def worst_case_over_ratio(n: int, a_lo: float = 1.0 - SQRT8, a_hi: float = 1.0 +
     reports the dimension-independent asymptotic endpoint
     ~ 4.546 (n-1)/(n-2).
     """
-    if grid_points < 100:
-        raise InputError("grid_points must be >= 100")
+    if not 100 <= grid_points <= MAX_GRID_POINTS:
+        raise InputError(f"grid_points must lie in [100, {MAX_GRID_POINTS}]")
     if n < 3:
         raise InputError("the worst-ratio scan applies for n >= 3")
     if not a_lo < a_hi:

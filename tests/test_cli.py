@@ -90,18 +90,26 @@ class TestCheck:
         assert payload["result"]["strong_margin"] < 0
         assert payload["result"]["classification"] == "refuted"
 
-    def test_polish_steps_in_manifest_only(self, capsys, lame_file):
-        runs = [run_cli(capsys, "check", lame_file, "--p", "14", "--seed", "5")[1]
-                for _ in range(2)]
-        result = runs[0]["result"]
-        assert set(result) == {"p", "t", "strong_margin", "lh_margin", "strong_witness",
-                               "lh_witness", "classification"}
-        assert json.dumps(result, sort_keys=True) == json.dumps(runs[1]["result"], sort_keys=True)
-        for payload in runs:
-            assert type(payload["manifest"]["evaluations"]) is int
-            steps = payload["manifest"]["polish_steps"]
-            assert set(steps) == {"strong", "lh"}
-            assert all(type(v) is int and v > 0 for v in steps.values())
+    def test_polish_steps_in_manifest_only(self, capsys, tmp_path, lame_file):
+        # the Lame tensor is rotation-invariant, so its strong margin is one
+        # eigensolve with no polish; a random tensor polishes both margins
+        random_file = tmp_path / "random.json"
+        random_file.write_text(json.dumps(tensor_to_json(
+            pe.random_elliptic_tensor(2, 2, "legendre-perturbed", seed=7))))
+        for path, strong_polished in ((lame_file, False), (str(random_file), True)):
+            runs = [run_cli(capsys, "check", path, "--p", "14", "--seed", "5")[1]
+                    for _ in range(2)]
+            result = runs[0]["result"]
+            assert set(result) == {"p", "t", "strong_margin", "lh_margin", "strong_witness",
+                                   "lh_witness", "classification"}
+            assert json.dumps(result, sort_keys=True) == json.dumps(runs[1]["result"], sort_keys=True)
+            for payload in runs:
+                assert type(payload["manifest"]["evaluations"]) is int
+                steps = payload["manifest"]["polish_steps"]
+                assert set(steps) == {"strong", "lh"}
+                assert all(type(v) is int for v in steps.values())
+                assert steps["lh"] > 0
+                assert (steps["strong"] > 0) if strong_polished else (steps["strong"] == 0)
 
     def test_scalar_margin_reported_for_m1(self, capsys, tmp_path):
         A = pe.CoefficientTensor.from_matrix(np.eye(2))
@@ -414,7 +422,7 @@ class TestContracts:
                                       "grid-float", "grid-false", "periodic-string",
                                       "periodic-int", "entries-string", "entries-true",
                                       "samples-null", "values-string", "values-oversized",
-                                      "check-p-inf"] + [f"seed-{command}-{seed}"
+                                      "check-p-inf", "grid-points-huge"] + [f"seed-{command}-{seed}"
                                                         for command in ("range", "check", "falsify")
                                                         for seed in ("-1", "4294967296")])
     def test_malformed_input_exit_two(self, capsys, tmp_path, case):
@@ -489,6 +497,11 @@ class TestContracts:
             extra = {"range": [], "check": ["--p", "4"], "falsify": ["--p", "4", "--trials", "2"]}
             argv = [command, str(path), *extra[command], f"--seed={seed}"]
             message = "seed must lie in [0, 2**32)"
+        elif case == "grid-points-huge":
+            # refused before the scan: 10**12 points would run for over a day
+            argv = ["solvability", "--theorem", "lame-corollary", "--n", "3", "--worst-case",
+                    "--grid-points", "1000000000000"]
+            message = "grid_points must lie in [100, 100000000]"
         elif case == "p0-text":
             argv = ["solvability", "--theorem", "extrapolation", "--n", "3", "--q", "2",
                     "--p0", "abc"]

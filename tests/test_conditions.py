@@ -664,9 +664,13 @@ class TestPolishReference:
     @pytest.mark.parametrize("test_field", ["real", "complex"])
     def test_threshold_ends_match_two_polishes(self, kind, test_field):
         # rows never interact inside minimize, so polishing both sides in
-        # one batch leaves every end bit-identical
+        # one batch leaves every end bit-identical; collapsed problems
+        # polish nothing (TestCollapsed.test_exact_path_matches_search)
         cfg = pe.SearchConfig(seed=3, test_field=test_field)
-        for A in self.BATCH:
+        searched = [A for A in self.BATCH
+                    if not conditions._make_problem(A, kind, test_field).collapsed]
+        assert len(searched) >= 5
+        for A in searched:
             assert conditions.threshold_ends(A, kind, cfg) == _two_polish_threshold_ends(A, kind, cfg)
 
     @pytest.mark.parametrize("kind, test_field, cap", [
@@ -694,6 +698,150 @@ class TestPolishReference:
         assert res.nit <= cap
         assert res.fun.min() <= _bfgs_minimize(
             problem, _margin_fg(problem, 0.4), W).fun.min() + 1e-12
+
+
+def _lame_at_r_star(n, lam, mu):
+    return pe.lame_tensor(lam, mu, pe.sufficient_constant(n, lam, mu).r_star, n)
+
+
+def _scalar_end(A):
+    """sup of the c in [0, 1) where scalar_p_margin at p = 2/(1 - c) is
+    positive, by bisection: the margin is the smallest eigenvalue of a
+    matrix affine in c, so it is concave and the set is an interval."""
+    def positive(c):
+        return pe.scalar_p_margin(A, 2.0 / (1.0 - c)) > 0.0
+
+    if positive(1.0 - 1e-15):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if positive(mid) else (lo, mid)
+    return lo
+
+
+class TestCollapsed:
+    """Strong problems whose direction set is one orbit of a symmetry of G
+    (m = 1, and real fields on rotation-invariant n = m tensors) take one
+    eigensolve per t and one threshold solve per range."""
+
+    M1 = [A for A in make_batch(200, 5000) if A.m == 1]   # criterion 5's m = 1 tensors
+    LAME = [_lame_at_r_star(n, lam, mu) for n in (2, 3, 4)
+            for lam, mu in ((1.0, 1.0), (-0.9, 0.7), (3.0, 0.5))]
+
+    def test_every_direction_gives_the_same_value(self):
+        cases = [(A, "real") for A in self.LAME + TestPolishReference.BATCH]
+        cases += [(A, "real") for A in self.M1[:4]] + [(A, "complex") for A in self.M1[:8]]
+        cases += [(pe.lame_tensor(1.0, 1.0, r, 3), "real") for r in (-1.0, 0.0, 2.5)]
+        cases += [(pe.CoefficientTensor.identity(2, 2), "real"),
+                  (pe.CoefficientTensor.from_matrix(np.array([[-1.0]])), "complex")]
+        problems = [conditions._make_problem(A, "strong", field) for A, field in cases]
+        problems = [problem for problem in problems if problem.collapsed]
+        assert len(problems) >= 25
+        rng = np.random.default_rng(25)
+        for problem in problems:
+            W = rng.standard_normal((64, problem.dim))
+            for t in (-0.5, 0.3, 0.7):
+                values = problem.values(W, t)
+                assert values.max() - values.min() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_moved_entry_is_not_collapsed(self, n):
+        A = _lame_at_r_star(n, 1.0, 1.0)
+        assert conditions._make_problem(A, "strong", "real").collapsed
+        for index in np.ndindex(A.entries.shape):
+            entries = A.entries.copy()
+            entries[index] += 1e-9
+            moved = pe.CoefficientTensor(entries)
+            assert not conditions._make_problem(moved, "strong", "real").collapsed, index
+
+    def test_searched_problems_are_not_collapsed(self):
+        lame = _lame_at_r_star(3, 1.0, 1.0)
+        assert not conditions._make_problem(lame, "strong", "complex").collapsed
+        assert not conditions._make_problem(lame, "lh", "real").collapsed
+        assert not conditions._make_problem(self.M1[0], "lh", "complex").collapsed
+        for n, m in ((2, 2), (3, 3), (2, 3)):
+            A = pe.random_elliptic_tensor(n, m, "hermitian-positive", seed=n + m)
+            assert not conditions._make_problem(A, "strong", "real").collapsed
+
+    def test_lame_n2_ends_are_the_closed_form(self):
+        cfg = pe.SearchConfig()
+        for mu in (0.5, 1.0, 2.0):
+            for a in np.linspace(-1.8, 3.5, 12):
+                lam = a * mu
+                s = (lam + mu) / (lam + 3.0 * mu)
+                t_lo, t_hi = conditions.threshold_ends(_lame_at_r_star(2, lam, mu), "strong", cfg)
+                assert t_hi == pytest.approx(np.sqrt(1.0 - s * s), abs=1e-12)
+                assert t_lo == pytest.approx(-np.sqrt(1.0 - s * s), abs=1e-12)
+
+    def test_lame_n3_end_is_c_lower(self):
+        cfg = pe.SearchConfig()
+        for mu in (0.5, 1.0, 2.0):
+            for a in np.linspace(-1.8, 3.5, 12):
+                lam = a * mu
+                c_lower = pe.sufficient_constant(3, lam, mu).c_lower
+                t_hi = conditions.threshold_ends(_lame_at_r_star(3, lam, mu), "strong", cfg)[1]
+                assert t_hi * t_hi == pytest.approx(c_lower, abs=1e-12)
+
+    def test_m1_range_is_where_the_scalar_margin_is_positive(self):
+        cfg = pe.SearchConfig(seed=5)
+        assert len(self.M1) >= 30
+        for A in self.M1:
+            t_lo, t_hi = conditions.threshold_ends(A, "strong", cfg)
+            end = _scalar_end(A)
+            assert t_hi == pytest.approx(end, abs=1e-12)
+            assert t_lo == pytest.approx(-end, abs=1e-12)
+
+    def test_m1_margin_sign_is_the_scalar_sign(self):
+        checked = 0
+        for A in self.M1:
+            for t in np.linspace(-0.95, 0.95, 9):
+                strong = pe.strong_margin(A, pe.SearchConfig(t=t, seed=5)).value
+                scalar = pe.scalar_p_margin(A, 2.0 / (1.0 - t))
+                if max(abs(strong), abs(scalar)) > 1e-9:
+                    assert np.sign(strong) == np.sign(scalar), (t, strong, scalar)
+                    checked += strong < 0.0
+        assert checked > 0   # the grid reaches beyond some ranges
+
+    def test_exact_path_runs_no_search(self, monkeypatch):
+        polishes = []
+        minimize = conditions.minimize
+        monkeypatch.setattr(conditions, "minimize",
+                            lambda *args: polishes.append(1) or minimize(*args))
+        A = self.LAME[3]
+        margin = pe.strong_margin(A, pe.SearchConfig(t=0.4, seed=1))
+        assert (margin.evaluations, margin.polish_steps) == (1, 0)
+        assert pe.margin_curve(A, [0.1, 0.2, 0.3]).shape == (3,)
+        assert not pe.condition_range(A, "strong", pe.SearchConfig(seed=1)).empty
+        assert polishes == []
+        # the seed draws nothing: every seed gives the same answer
+        assert pe.strong_margin(A, pe.SearchConfig(t=0.4, seed=2)).value == margin.value
+
+    @pytest.mark.parametrize("test_field", ["real", "complex"])
+    def test_exact_path_matches_search(self, monkeypatch, test_field):
+        tensors = [A for A in self.LAME[:6] + self.M1[:6] + TestPolishReference.BATCH
+                   if conditions._make_problem(A, "strong", test_field).collapsed]
+        assert len(tensors) >= 7
+        ts = [-0.5, 0.3, 0.7]
+
+        def answers(A):
+            cfg = pe.SearchConfig(seed=3, test_field=test_field)
+            margins = [pe.strong_margin(A, pe.SearchConfig(t=t, seed=3, test_field=test_field)).value
+                       for t in ts]
+            return (*margins, *pe.margin_curve(A, ts, "strong", cfg),
+                    *conditions.threshold_ends(A, "strong", cfg))
+
+        exact = [answers(A) for A in tensors]
+        make_problem = conditions._make_problem
+
+        def searched_problem(*args):
+            problem = make_problem(*args)
+            problem.collapsed = False   # the direction search, as before the exact path
+            return problem
+
+        monkeypatch.setattr(conditions, "_make_problem", searched_problem)
+        searched = [answers(A) for A in tensors]
+        assert np.abs(np.subtract(exact, searched)).max() <= 1e-12
 
 
 class TestScalarMargin:
@@ -768,6 +916,12 @@ class TestSearchConfig:
     def test_invalid_starts_rejected(self):
         with pytest.raises(InputError):
             pe.SearchConfig(outer_starts=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_seed_outside_range_rejected(self, seed):
+        # checked here, since a collapsed problem draws no starts
+        with pytest.raises(InputError, match=r"seed must lie in \[0, 2\*\*32\)"):
+            pe.SearchConfig(seed=seed)
 
     def test_field_mode_resolution(self):
         real_A = pe.lame_tensor(1.0, 1.0, 0.0, 2)

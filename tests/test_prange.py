@@ -197,13 +197,9 @@ class TestEmptyRange:
     """A range is empty exactly when the t = 0 (classical) condition fails,
     and that verdict costs one threshold evaluation of the start batch."""
 
-    @pytest.mark.parametrize("kind", ["strong", "lh"])
-    def test_empty_range_runs_no_polish(self, monkeypatch, kind):
-        if kind == "strong":
-            A = pe.CoefficientTensor.from_matrix(np.array([[-1.0]]))
-        else:
-            B = pe.random_elliptic_tensor(2, 2, "legendre-perturbed", seed=7)
-            A = _shifted(B, pe.brute_margin(B, 0.0, "lh", pe.OracleConfig()) + 0.05)
+    @staticmethod
+    def counted(monkeypatch):
+        """Lists that record each polish and the rows of each threshold evaluation."""
         polishes, evaluations = [], []
         minimize, thresholds = conditions.minimize, conditions._FormProblem.thresholds
 
@@ -217,10 +213,28 @@ class TestEmptyRange:
 
         monkeypatch.setattr(conditions, "minimize", counted_minimize)
         monkeypatch.setattr(conditions._FormProblem, "thresholds", counted_thresholds)
+        return polishes, evaluations
+
+    @pytest.mark.parametrize("kind", ["strong", "lh"])
+    def test_empty_range_runs_no_polish(self, monkeypatch, kind):
+        B = pe.random_elliptic_tensor(2, 2, "legendre-perturbed", seed=7)
+        if kind == "strong":
+            A = _shifted(B, _exact_strong_margin(B) + 0.05)
+        else:
+            A = _shifted(B, pe.brute_margin(B, 0.0, "lh", pe.OracleConfig()) + 0.05)
+        polishes, evaluations = self.counted(monkeypatch)
         cfg = pe.SearchConfig(seed=1)
         assert pe.condition_range(A, kind, cfg).empty
         assert polishes == []
         assert evaluations == [4 * cfg.outer_starts]
+
+    def test_m1_empty_range_is_one_evaluation(self, monkeypatch):
+        # m = 1: every direction gives the same thresholds, so one is evaluated
+        A = pe.CoefficientTensor.from_matrix(np.array([[-1.0]]))
+        polishes, evaluations = self.counted(monkeypatch)
+        assert pe.condition_range(A, "strong", pe.SearchConfig(seed=1)).empty
+        assert polishes == []
+        assert evaluations == [1]
 
     @pytest.mark.parametrize("n,m,seed,gap", [(2, 2, 0, 1e-16), (2, 3, 11, 1e-15), (3, 2, 17, 1e-16)])
     def test_near_singular_classical_form_reads_empty(self, capsys, tmp_path, n, m, seed, gap):

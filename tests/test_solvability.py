@@ -120,6 +120,10 @@ class TestLameCorollary:
         with pytest.raises(InputError):
             pe.worst_case_over_ratio(3, grid_points=50)
 
+    def test_grid_ceiling(self):
+        with pytest.raises(InputError, match=r"\[100, 100000000\]"):
+            pe.worst_case_over_ratio(3, grid_points=solvability.MAX_GRID_POINTS + 1)
+
     def test_display_discrepancy_is_flagged(self):
         w = pe.worst_case_over_ratio(3, grid_points=200)
         assert any("alternative closed form" in note for note in w.notes)
