@@ -23,7 +23,9 @@ global search: seeded multistart, then one batched Riemannian Newton polish
 (``minimize``) of the best starts, with exact gradients and Hessians from
 the eigendecomposition of S(t) by eigenvalue perturbation (Overton &
 Womersley 1995). Each coordinate moves I + t Pi or G, so one formula
-differentiates S(t) in all of them (``_FormProblem.curvature``). Values are
+differentiates S(t) in all of them (``_FormProblem.curvature``); a margin
+search holds t fixed, so its gradients and Hessians carry no t row, which
+only the range ends' implicit derivatives need. Values are
 upper bounds on the true infimum (``certified=False``). At a fixed witness
 the form is an exact parabola in t, read off the lowest eigenvector;
 ``margin_curve`` polishes every t of its grid in one batch and bounds each
@@ -42,8 +44,10 @@ commutes with (m = 1; real fields on an n = m tensor invariant under
 rotations, such as every Lame tensor) is ``collapsed``: S(t) has the same
 spectrum at every direction, so a margin is one eigensolve and the ends one
 threshold solve at the first coordinate direction, with no starts and no
-polish. These values are exact up to rounding but still carry
-``certified=False``.
+polish. At t = 0 every strong problem is collapsed: I + 0 Pi = I exactly,
+so S(0) = sym(G) bit for bit at every direction, and a strong margin at
+t = 0 (p = 2) is one eigensolve at e_1. These values are exact up to
+rounding but still carry ``certified=False``.
 
 Test-field convention: real tensors are tested with real states and real
 directions, complex tensors with complex ones (``SearchConfig.test_field``
@@ -52,6 +56,7 @@ directions, complex tensors with complex ones (``SearchConfig.test_field``
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -182,18 +187,35 @@ def _pairing_matrix(entries: np.ndarray, parts: int) -> np.ndarray:
                            np.concatenate([im, re], axis=-1)], axis=-2)
 
 
-def _rotation_invariant(G: np.ndarray, n: int) -> bool:
-    """Whether the real pairing matrix G of an n = m tensor commutes, to
-    rounding, with every generator J (x) I + I (x) J of SO(n) acting on its
-    (h, a) coordinates (J = e_j e_i^T - e_i e_j^T, i < j):
-    max |[G, K]| <= 1e-13 max |G|."""
+@functools.cache
+def _rotation_generators(n: int) -> np.ndarray:
+    """The generators J (x) I + I (x) J of SO(n) on (h, a) coordinates
+    (J = e_j e_i^T - e_i e_j^T, i < j), shape (n(n-1)/2, n^2, n^2); built
+    once per n and read-only."""
     i, j = np.triu_indices(n, 1)
     J = np.zeros((len(i), n, n))
     J[np.arange(len(i)), j, i], J[np.arange(len(i)), i, j] = 1.0, -1.0
     eye = np.eye(n)
     K = np.einsum("gij,kl->gikjl", J, eye) + np.einsum("ij,gkl->gikjl", eye, J)
     K = K.reshape(len(i), n * n, n * n)
+    K.flags.writeable = False
+    return K
+
+
+def _rotation_invariant(G: np.ndarray, n: int) -> bool:
+    """Whether the real pairing matrix G of an n = m tensor commutes, to
+    rounding, with every generator K of SO(n) acting on its (h, a)
+    coordinates (``_rotation_generators``): max |[G, K]| <= 1e-13 max |G|."""
+    K = _rotation_generators(n)
     return bool(np.abs(G @ K - K @ G).max() <= 1e-13 * np.abs(G).max())
+
+
+@functools.cache
+def _eye(d: int) -> np.ndarray:
+    """The d x d identity, built once per d and read-only."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 def _direction_basis(W: np.ndarray, n: int, parts: int, m: int) -> np.ndarray:
@@ -203,15 +225,28 @@ def _direction_basis(W: np.ndarray, n: int, parts: int, m: int) -> np.ndarray:
     h of V (shape (B, d, n)) is e_h (x) w, so Pi = V V^T.
     """
     B = W.shape[0]
-    V = W.reshape(B, parts, 1, m, 1) * np.eye(n)[:, None, :]
+    V = np.zeros((B, parts, n, m, n))
+    h = np.arange(n)
+    V[:, :, h, :, h] = W.reshape(B, parts, m)
     return V.reshape(B, parts * n * m, n)
+
+
+@functools.cache
+def _basis_derivative(n: int, parts: int, m: int) -> np.ndarray:
+    """The constant E_i = dV/dw_i of ``_direction_basis`` as one read-only
+    (n, parts*m*d) matrix: row h holds column h of every E_i in turn."""
+    pm = parts * m
+    E = _direction_basis(_eye(pm), n, parts, m)
+    E = np.ascontiguousarray(E.transpose(2, 0, 1).reshape(n, -1))
+    E.flags.writeable = False
+    return E
 
 
 def _strong_matrices(G: np.ndarray, Pi: np.ndarray, t) -> np.ndarray:
     """S(t) = sym((I + t Pi)^T G (I - t Pi)); G may be one matrix or a batch,
     t a scalar or an array broadcasting against Pi (one value per row)."""
     d = Pi.shape[-1]
-    eye = np.eye(d)
+    eye = _eye(d)
     right = eye - t * Pi   # applied to the first pairing slot
     left = eye + t * Pi    # applied to the second slot
     M = np.matmul(left.transpose(0, 2, 1), np.matmul(G, right))
@@ -264,8 +299,15 @@ class _FormProblem:
         block = np.repeat(np.arange(len(self._block_sizes)), self._block_sizes)
         self._same_block = block[:, None] == block[None, :]
 
+    def collapsed_at(self, ts: np.ndarray) -> np.ndarray:
+        """Per t of ts, whether every direction gives S(t) the same spectrum."""
+        return np.full(ts.shape, self.collapsed)
+
     def _block_sums(self, P: np.ndarray) -> np.ndarray:
-        """Row sums of P over each unit block, repeated across the block."""
+        """Row sums of P over each unit block, repeated across the block (one
+        column per row when the candidate is one unit block)."""
+        if len(self._block_sizes) == 1:
+            return P.sum(axis=1, keepdims=True)
         return np.repeat(np.add.reduceat(P, self._block_starts, axis=1), self._block_sizes, axis=1)
 
     def _normalize(self, W: np.ndarray) -> np.ndarray:
@@ -278,15 +320,19 @@ class _FormProblem:
         """g with its component along each unit block of W removed."""
         return g - self._block_sums(W * g) * W
 
+    def _halves(self, G: np.ndarray):
+        """sym(G) and skew(G)."""
+        Gt = np.swapaxes(G, -1, -2)
+        return 0.5 * (G + Gt), 0.5 * (G - Gt)
+
     def _split(self, G: np.ndarray):
         """sym(G), skew(G), F^T with F F^T = sym(G)^-1, and whether sym(G) is
         positive definite to working precision (elsewhere F is meaningless)."""
-        Gt = np.swapaxes(G, -1, -2)
-        S0 = 0.5 * (G + Gt)
+        S0, N = self._halves(G)
         lam, Q = np.linalg.eigh(S0)
         definite = lam[..., 0] > 1e-12 * np.abs(lam).max(axis=-1)
         Ft = np.swapaxes(Q, -1, -2) / np.sqrt(np.where(lam > 0.0, lam, 1.0))[..., None]
-        return S0, 0.5 * (G - Gt), Ft, definite
+        return S0, N, Ft, definite
 
     def values(self, W: np.ndarray, t) -> np.ndarray:
         """lambda_min of S(t) per row of W; t is a scalar or one value per row."""
@@ -302,22 +348,26 @@ class _FormProblem:
         return lam, vecs, Pi, G
 
     def _direction_terms(self, w: np.ndarray, z: np.ndarray):
-        """E^T z (B, parts*m, k) and the rows dPi/dw_i z (B, parts*m, d) at
-        the direction coordinates w. In (part, h, a) coordinates V = I_k (x) w
-        and E_i = dV/dw_i picks coordinate i = (part, a), so E^T z is a
-        reshape of z and dPi/dw_i z = E_i V^T z + V E_i^T z."""
+        """E^T z (..., B, parts*m, k) and the rows dPi/dw_i z (..., B, parts*m,
+        d) at the direction coordinates w, for z of shape (..., B, d). In
+        (part, h, a) coordinates V = I_k (x) w and E_i = dV/dw_i picks
+        coordinate i = (part, a), so E^T z is a reshape of z and
+        dPi/dw_i z = E_i V^T z + V E_i^T z, two products with one nonzero
+        term each (``_basis_derivative``)."""
         B, pm = w.shape
-        k = z.shape[1] // pm
-        Ez = z.reshape(B, self.parts, k, self.m).transpose(0, 1, 3, 2).reshape(B, pm, k)
-        Vz = (w[:, None] @ Ez)[:, 0]
-        dPz = (np.eye(pm).reshape(pm, self.parts, 1, self.m) * Vz[:, None, None, :, None]
-               + w.reshape(B, 1, self.parts, 1, self.m) * Ez.reshape(B, pm, 1, k, 1))
-        return Ez, dPz.reshape(B, pm, -1)
+        lead, k = z.shape[:-2], z.shape[-1] // pm
+        Ez = z.reshape(*lead, B, self.parts, k, self.m).swapaxes(-1, -2).reshape(*lead, B, pm, k)
+        Vz = (w[:, None] @ Ez)[..., 0, :]
+        V = _direction_basis(w, k, self.parts, self.m)
+        EVz = Vz @ _basis_derivative(k, self.parts, self.m)
+        return Ez, EVz.reshape(*lead, B, pm, -1) + Ez @ V.transpose(0, 2, 1)
 
-    def curvature(self, W: np.ndarray, t):
+    def curvature(self, W: np.ndarray, t, with_t: bool = True):
         """lambda_min of S(t), its gradient and Hessian in (W, t), t last, at
         the rows as they are (V is linear in W), and max |lambda| per row; t
-        is a scalar or one value per row. S = sym(L G R) with L = I + t Pi
+        is a scalar or one value per row. A margin search holds t fixed and
+        asks for no t coordinate (``with_t=False``): the gradient and Hessian
+        are then those in W alone. S = sym(L G R) with L = I + t Pi
         and R = 2I - L, and a coordinate i moves L (L_i = t dPi/dw_i for a
         direction, Pi for t) or G (G_i for a frequency, ``_frequency_terms``).
         With x the lowest eigenvector, N = skew(G), S0 = sym(G), y = Pi x,
@@ -333,34 +383,38 @@ class _FormProblem:
         lam, X, Pi, G = self._eig(W, t)
         pm = self.parts * self.m
         t = np.reshape(t, (-1, 1, 1))
-        Gt = np.swapaxes(G, -1, -2)
-        N, S0 = 0.5 * (G - Gt), 0.5 * (G + Gt)
+        S0, N = self._halves(G)
         x, y = X[:, :, :1], Pi @ X[:, :, :1]
         a, b = x + t * y, x - t * y
         v = N @ x - t * (S0 @ y)
-        Ex, Dx = self._direction_terms(W[:, :pm], x[..., 0])
-        Ev, Dv = self._direction_terms(W[:, :pm], v[..., 0])
+        (Ex, Ev), D = self._direction_terms(W[:, :pm], np.stack([x[..., 0], v[..., 0]]))
         dGb, dGta, H_qq = self._frequency_terms(W, a[..., 0], b[..., 0])
         Z = dGb - dGta
-        q = slice(pm, pm + Z.shape[1])
-        zero = np.zeros_like(Z)
-        # rows i of l = L_i x and of L_i v: direction coordinates, frequencies, t
-        l = np.concatenate([t * Dx, zero, y.transpose(0, 2, 1)], axis=1)
-        Lv = np.concatenate([t * Dv, zero, (Pi @ v).transpose(0, 2, 1)], axis=1)
+        # rows i of l = L_i x and of L_i v: direction coordinates, then
+        # frequencies (which move G, not L) and t
+        rows = [t * D]
+        if Z.shape[1]:
+            rows.append(np.zeros((2, *Z.shape)))
+        if with_t:
+            rows.append(np.stack([y, Pi @ v]).transpose(0, 1, 3, 2))
+        l, Lv = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=2)
         lS0 = l @ S0
         s = Lv + l @ N - t * (lS0 @ Pi)
-        s[:, q] += 0.5 * (dGb + dGta + t * (Z @ Pi))
-        grad = (s @ x)[..., 0]
         H = -2.0 * (lS0 @ l.transpose(0, 2, 1))
         cross = t * (Ev @ Ex.transpose(0, 2, 1))
         H[:, :pm, :pm] += 2.0 * (cross + cross.transpose(0, 2, 1))
-        H_dt = 2.0 * (Dx @ v)[..., 0]
-        H[:, :pm, -1] += H_dt
-        H[:, -1, :pm] += H_dt
-        lZ = l @ Z.transpose(0, 2, 1)
-        H[:, :, q] += lZ
-        H[:, q] += lZ.transpose(0, 2, 1)
-        H[:, q, q] += H_qq
+        if with_t:
+            H_dt = 2.0 * (D[0] @ v)[..., 0]
+            H[:, :pm, -1] += H_dt
+            H[:, -1, :pm] += H_dt
+        if Z.shape[1]:
+            q = slice(pm, pm + Z.shape[1])
+            s[:, q] += 0.5 * (dGb + dGta + t * (Z @ Pi))
+            lZ = l @ Z.transpose(0, 2, 1)
+            H[:, :, q] += lZ
+            H[:, q] += lZ.transpose(0, 2, 1)
+            H[:, q, q] += H_qq
+        grad = (s @ x)[..., 0]
         scale = np.abs(lam).max(axis=1)
         gap = lam[:, 1:] - lam[:, :1]
         inv = np.divide(-2.0, gap, out=np.zeros_like(gap), where=gap > 1e-9 * scale[:, None])
@@ -378,7 +432,7 @@ class _FormProblem:
         """Riemannian gradient and Hessian on the product of unit spheres at
         the normalized rows W, from the Euclidean g and H: P g and
         P H P - (w_b.g_b) P_b on each block b, P the tangent projection."""
-        P = np.eye(self.dim) - self._same_block * (W[:, :, None] * W[:, None, :])
+        P = _eye(self.dim) - self._same_block * (W[:, :, None] * W[:, None, :])
         return self._tangent(W, g), P @ H @ P - self._block_sums(W * g)[:, :, None] * P
 
     def witness(self, w: np.ndarray, t) -> tuple[Witness, tuple, float]:
@@ -436,12 +490,20 @@ class _StrongProblem(_FormProblem):
     def __init__(self, A: CoefficientTensor, parts: int):
         super().__init__(A, parts, parts * A.m)
         self.G = _pairing_matrix(self.entries, parts)
+        self._G_halves = super()._halves(self.G)
         self._G_split = super()._split(self.G)
         self.collapsed = self.m == 1 or (
             parts == 1 and self.n == self.m and _rotation_invariant(self.G, self.n))
 
+    def _halves(self, G):
+        return self._G_halves   # G is always self.G
+
     def _split(self, G):
-        return self._G_split   # G is always self.G
+        return self._G_split
+
+    def collapsed_at(self, ts: np.ndarray) -> np.ndarray:
+        # at t = 0, I + t Pi = I exactly: S(0) = sym(G) at every direction
+        return self.collapsed | (ts == 0.0)
 
     def _operands(self, W):
         return self.G, _direction_basis(W, self.n, self.parts, self.m)
@@ -461,6 +523,7 @@ class _LHProblem(_FormProblem):
     def __init__(self, A: CoefficientTensor, parts: int):
         super().__init__(A, parts, parts * A.m + A.n, (parts * A.m,))
         self.G_blocks = _pairing_matrix(self.entries[:, :, None, None], parts)
+        self.G2 = self.G_blocks + self.G_blocks.transpose(1, 0, 2, 3)   # G_hk + G_kh
 
     def _operands(self, W):
         pm = self.parts * self.m
@@ -471,10 +534,9 @@ class _LHProblem(_FormProblem):
     def _frequency_terms(self, W, a, b):
         """With G = sum_hk q_h q_k G_hk: dG/dq_h = sum_k q_k (G_hk + G_kh)
         and d^2 G/dq_h dq_k = G_hk + G_kh."""
-        G2 = self.G_blocks + self.G_blocks.transpose(1, 0, 2, 3)
-        dG = np.einsum("hkij,bk->bhij", G2, W[:, self.splits[0]:])
+        dG = np.einsum("hkij,bk->bhij", self.G2, W[:, self.splits[0]:])
         return ((dG @ b[:, None, :, None])[..., 0], (a[:, None, None] @ dG)[:, :, 0],
-                np.einsum("hkij,bi,bj->bhk", G2, a, b))
+                np.einsum("hkij,bi,bj->bhk", self.G2, a, b))
 
     def _make_witness(self, x, w) -> Witness:
         pm = self.parts * self.m
@@ -500,9 +562,9 @@ def _newton(problem: _FormProblem, fg, x: np.ndarray, rows: np.ndarray):
     g, H = problem._riemannian(x, g, H)
     mu, Q = np.linalg.eigh(H)
     mu = np.maximum(np.abs(mu), 1e-6 * scale[:, None])
-    Qg = np.einsum("bji,bj->bi", Q, g)
-    d = problem._tangent(x, -np.einsum(
-        "bij,bj->bi", Q, np.divide(Qg, mu, out=np.zeros_like(Qg), where=mu > 0.0)))
+    Qg = (g[:, None] @ Q)[:, 0]
+    step = np.divide(Qg, mu, out=np.zeros_like(Qg), where=mu > 0.0)
+    d = problem._tangent(x, -(Q @ step[..., None])[..., 0])
     return f, g, d / np.maximum(1.0, np.sqrt(np.sum(d * d, axis=1, keepdims=True)))
 
 
@@ -524,24 +586,24 @@ def minimize(problem: _FormProblem, fg, W: np.ndarray) -> PolishResult:
     x = problem._normalize(np.asarray(W, dtype=float))
     live = np.arange(len(x))
     f, g, d = _newton(problem, fg, x, live)
+    slope = np.sum(g * d, axis=1)   # g.d per row, updated when a row moves
     step = np.ones(len(x))
     nit, nfev = 0, len(x)
     while live.size and nit < POLISH_STEPS:
         nit += 1
-        slope = np.sum(g[live] * d[live], axis=1)
-        moving = -0.5 * slope > 1e-13 * np.abs(f[live])
-        live, slope = live[moving], slope[moving]
+        live = live[-0.5 * slope[live] > 1e-13 * np.abs(f[live])]
         if not live.size:
             break
-        trial = problem._normalize(x[live] + step[live, None] * d[live])
+        fl, sl, dl = f[live], step[live], d[live]
+        trial = problem._normalize(x[live] + sl[:, None] * dl)
         ft, gt, dt = _newton(problem, fg, trial, live)
         nfev += live.size
-        ok = ft <= f[live] + 1e-4 * step[live] * slope
-        done = np.where(ok, f[live] - ft <= 1e-13 * np.abs(ft),
-                        0.5 * step[live] * np.sqrt(np.sum(d[live] ** 2, axis=1)) < 1e-15)
-        step[live] = np.where(ok, 1.0, 0.5 * step[live])
-        acc = live[ok]
-        x[acc], f[acc], g[acc], d[acc] = trial[ok], ft[ok], gt[ok], dt[ok]
+        ok = ft <= fl + 1e-4 * sl * slope[live]
+        done = np.where(ok, fl - ft <= 1e-13 * np.abs(ft),
+                        0.5 * sl * np.sqrt(np.sum(dl ** 2, axis=1)) < 1e-15)
+        step[live] = np.where(ok, 1.0, 0.5 * sl)
+        acc, dt = live[ok], dt[ok]
+        x[acc], f[acc], d[acc], slope[acc] = trial[ok], ft[ok], dt, np.sum(gt[ok] * dt, axis=1)
         live = live[~done]
     return PolishResult(x=x, fun=f, nit=nit, nfev=nfev)
 
@@ -550,24 +612,24 @@ def _search(problem: _FormProblem, cfg: SearchConfig, ts):
     """Margin search at every t of ts over the compact direction set: each t
     ranks the seeded starts and polishes its best POLISHED, all in one
     ``minimize`` with one t per row. Returns each t's best polished row, the
-    directions evaluated and the polish's batched steps. A collapsed problem
-    needs no search: e_1 wins at every t, with one evaluation per t."""
+    directions evaluated and the polish's batched steps. A t where the
+    problem is collapsed (``collapsed_at``) needs no search: e_1 wins there,
+    with one evaluation."""
     ts = np.asarray(ts, dtype=float)
-    if problem.collapsed:
-        return np.tile(np.eye(1, problem.dim), (len(ts), 1)), len(ts), 0
+    winners = np.tile(np.eye(1, problem.dim), (len(ts), 1))
+    flat = problem.collapsed_at(ts)
+    ts = ts[~flat]
+    if not ts.size:
+        return winners, int(flat.sum()), 0
     starts = _starts(cfg, cfg.outer_starts, problem.dim)
     ranked = problem.values(np.tile(starts, (len(ts), 1)), np.repeat(ts, len(starts)))
     rows = starts[np.argsort(ranked.reshape(len(ts), -1), axis=1)[:, :POLISHED]]
     row_t = np.repeat(ts, rows.shape[1])
-
-    def fg(W, live):
-        lam, grad, hess, scale = problem.curvature(W, row_t[live])
-        return lam, grad[:, :-1], hess[:, :-1, :-1], scale
-
-    res = minimize(problem, fg, rows.reshape(-1, problem.dim))
+    res = minimize(problem, lambda W, live: problem.curvature(W, row_t[live], with_t=False),
+                   rows.reshape(-1, problem.dim))
     fun = res.fun.reshape(rows.shape[:2])
-    winners = res.x.reshape(rows.shape)[np.arange(len(ts)), np.argmin(fun, axis=1)]
-    return winners, ranked.size + res.nfev, res.nit
+    winners[~flat] = res.x.reshape(rows.shape)[np.arange(len(ts)), np.argmin(fun, axis=1)]
+    return winners, int(flat.sum()) + ranked.size + res.nfev, res.nit
 
 
 def _minimize_directions(problem, cfg: SearchConfig) -> MarginResult:

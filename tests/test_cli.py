@@ -111,6 +111,21 @@ class TestCheck:
                 assert steps["lh"] > 0
                 assert (steps["strong"] > 0) if strong_polished else (steps["strong"] == 0)
 
+    def test_p2_strong_margin_is_one_eigensolve(self, capsys, tmp_path):
+        # at p = 2 (t = 0) every direction gives the same S(0) = sym(G), so
+        # the strong margin is its lambda_min with no polish
+        A = pe.random_elliptic_tensor(2, 2, "legendre-perturbed", seed=7)
+        assert not A.is_real
+        path = tmp_path / "random.json"
+        path.write_text(json.dumps(tensor_to_json(A)))
+        code, payload, _ = run_cli(capsys, "check", str(path), "--p", "2")
+        assert code == 0
+        steps = payload["manifest"]["polish_steps"]
+        assert steps["strong"] == 0 and steps["lh"] > 0
+        C = np.transpose(A.entries, (1, 3, 0, 2)).reshape(4, 4)
+        want = np.linalg.eigvalsh(0.5 * (C + C.conj().T))[0]
+        assert payload["result"]["strong_margin"] == pytest.approx(want, abs=1e-12)
+
     def test_scalar_margin_reported_for_m1(self, capsys, tmp_path):
         A = pe.CoefficientTensor.from_matrix(np.eye(2))
         path = tmp_path / "scalar.json"

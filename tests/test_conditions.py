@@ -264,10 +264,7 @@ class TestThresholds:
 def _margin_fg(problem, t):
     """The fg of a margin polish at t: lambda_min of S(t) and its gradient
     and Hessian in W (``_search``)."""
-    def fg(W, rows):
-        lam, grad, hess, scale = problem.curvature(W, t)
-        return lam, grad[:, :-1], hess[:, :-1, :-1], scale
-    return fg
+    return lambda W, rows: problem.curvature(W, t, with_t=False)
 
 
 class TestSlope:
@@ -446,11 +443,20 @@ class TestCurvatureReference:
     """curvature against the einsum reference it replaced, to rounding."""
 
     @staticmethod
-    def assert_matches(problem, W, t):
-        got, ref = problem.curvature(W, t), _einsum_curvature(problem, W, t)
+    def assert_close(got, ref):
         for new, old in zip(got, ref):
             assert new.shape == old.shape
             np.testing.assert_array_less(np.abs(new - old), 1e-12 * np.maximum(1.0, np.abs(old)))
+
+    @classmethod
+    def assert_matches(cls, problem, W, t):
+        full = problem.curvature(W, t)
+        cls.assert_close(full, _einsum_curvature(problem, W, t))
+        # a margin search's curvature has no t coordinate: the full one with
+        # its t row and column dropped
+        lam, grad, hess, scale = full
+        cls.assert_close(problem.curvature(W, t, with_t=False),
+                         (lam, grad[:, :-1], hess[:, :-1, :-1], scale))
 
     @pytest.mark.parametrize("kind", ["strong", "lh"])
     @pytest.mark.parametrize("test_field", ["real", "complex"])
@@ -755,6 +761,12 @@ class TestCollapsed:
             moved = pe.CoefficientTensor(entries)
             assert not conditions._make_problem(moved, "strong", "real").collapsed, index
 
+    def test_rotation_generators_are_built_once_per_n(self):
+        for n in (2, 3, 4):
+            K = conditions._rotation_generators(n)
+            assert K is conditions._rotation_generators(n)
+            assert K.shape == (n * (n - 1) // 2, n * n, n * n) and not K.flags.writeable
+
     def test_searched_problems_are_not_collapsed(self):
         lame = _lame_at_r_star(3, 1.0, 1.0)
         assert not conditions._make_problem(lame, "strong", "complex").collapsed
@@ -841,6 +853,44 @@ class TestCollapsed:
 
         monkeypatch.setattr(conditions, "_make_problem", searched_problem)
         searched = [answers(A) for A in tensors]
+        assert np.abs(np.subtract(exact, searched)).max() <= 1e-12
+
+
+class TestStrongAtZero:
+    """At t = 0, I + 0 Pi = I exactly, so S(0) = sym(G) bit for bit at every
+    direction: a strong margin there is one eigensolve at e_1."""
+
+    BATCH = TestPolishReference.BATCH
+
+    @staticmethod
+    def composite_lambda_min(A):
+        # Re<A xi, xi> = xi^H C xi with C[(k, b), (h, a)] = A[h, k, a, b]; a
+        # real C has the same lambda_min over real and complex states
+        C = np.transpose(A.entries, (1, 3, 0, 2)).reshape(A.n * A.m, A.n * A.m)
+        return np.linalg.eigvalsh(0.5 * (C + C.conj().T))[0]
+
+    def test_margin_is_the_composite_lambda_min(self):
+        assert {A.is_real for A in self.BATCH} == {True, False}
+        for A in self.BATCH:
+            margin = pe.strong_margin(A, pe.SearchConfig(t=0.0, seed=3))
+            assert (margin.evaluations, margin.polish_steps) == (1, 0)
+            assert margin.value == pytest.approx(self.composite_lambda_min(A), abs=1e-12)
+            wit = margin.witness
+            assert pe.strong_form_value(A, 0.0, wit.xi, wit.omega) == pytest.approx(
+                margin.value, abs=1e-12)
+
+    def test_lh_margin_is_still_searched(self):
+        A = pe.random_elliptic_tensor(2, 2, "legendre-perturbed", seed=7)
+        assert pe.lh_margin(A, pe.SearchConfig(t=0.0, seed=3)).polish_steps > 0
+
+    def test_margin_curve_through_zero_keeps_its_values(self, monkeypatch):
+        ts = [-0.4, 0.0, 0.3]
+        cfg = pe.SearchConfig(seed=3)
+        exact = [pe.margin_curve(A, ts, "strong", cfg) for A in self.BATCH]
+        # the search at t = 0 too, as before the t = 0 path
+        monkeypatch.setattr(conditions._StrongProblem, "collapsed_at",
+                            conditions._FormProblem.collapsed_at)
+        searched = [pe.margin_curve(A, ts, "strong", cfg) for A in self.BATCH]
         assert np.abs(np.subtract(exact, searched)).max() <= 1e-12
 
 

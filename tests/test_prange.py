@@ -404,6 +404,25 @@ class TestFieldRange:
         assert info.value.partial == "STATE"
         assert str(info.value) == "sample 1: solve failed"
 
+    def test_convex_combinations_of_samples_cover_the_range(self):
+        # lambda_min S(t) is concave in the tensor, so a convex combination of
+        # samples meets the strong condition wherever every sample does; Lame
+        # tensors are linear in (lam, mu, r), so each combination is a Lame
+        # tensor, rotation-invariant, and both ranges are exact
+        rng = np.random.default_rng(26)
+        moduli = [(a * mu, mu) for a, mu in zip(rng.uniform(-1.5, 3.5, 4), rng.uniform(0.5, 2.0, 4))]
+        samples = np.stack([pe.lame_tensor(lam, mu, pe.sufficient_constant(2, lam, mu).r_star, 2).entries
+                            for lam, mu in moduli])
+        F = pe.TensorField.sampled(samples.reshape((2, 2) + (2,) * 4), grid=(2, 2), periodic=True)
+        cfg = pe.SearchConfig(seed=13)
+        field = pe.field_range(F, "strong", cfg)
+        assert not field.empty
+        for weights in rng.dirichlet(np.ones(4), 8):
+            mixed = pe.CoefficientTensor(np.tensordot(weights, samples, axes=1))
+            assert conditions._make_problem(mixed, "strong", "real").collapsed
+            r = pe.condition_range(mixed, "strong", cfg)
+            assert r.t_lo <= field.t_lo + 1e-12 and r.t_hi >= field.t_hi - 1e-12
+
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(10)
         tensors = [
